@@ -14,6 +14,7 @@ worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
@@ -39,10 +40,13 @@ def chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
 def _run_chunked(
     fn: Callable[[int, int], T], total: int, threads: int
 ) -> list[T]:
-    ranges = chunk_bounds(total, threads)
-    if len(ranges) <= 1 or threads <= 1:
+    # more workers than cores buys nothing and a huge --threads would
+    # start that many OS threads
+    workers = min(threads, os.cpu_count() or 1)
+    ranges = chunk_bounds(total, workers)
+    if len(ranges) <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
         return list(pool.map(lambda r: fn(*r), ranges))
 
 

@@ -145,7 +145,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
             return 0
         if not outcome.exhausted:
             print(
-                f"search budget exhausted at m={m} after "
+                f"error: search budget exhausted at m={m} after "
                 f"{outcome.candidates_examined} candidates",
                 file=sys.stderr,
             )

@@ -7,13 +7,13 @@ of 0-prefixed inputs copy their own leading bit, images of 1-prefixed
 inputs complement it after routing through the 4-cycle permutation of the
 last two bits.  The per-bit flip counts over the n * 2^(n-1) pairs then
 all equal n * 2^(n-2), which verify_diffusive checks as an exact integer
-identity; no floating point anywhere.
+identity; no floating point anywhere.  For pairs at distance 1..k the
+target is half the pair count, an integer since 2^(n-1) divides it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +23,11 @@ from .bitword import (
     DEFAULT_PAIR_BUDGET,
     BitWord,
     BudgetExceededError,
+    PairSpec,
     _sigma_int,
+    diff_patterns,
     flip_patterns,
+    pair_count,
 )
 from .f2linear import LinearMap, TruthTableMap, tabulate, transpose
 from .dispersive import build_dispersive
@@ -35,7 +38,7 @@ class DiffusionReport:
     passed: bool
     injective: bool
     per_bit_sums: tuple[int, ...]
-    target: int | Fraction
+    target: int
     pairs_checked: int
 
 
@@ -71,41 +74,48 @@ def g_eval(n: int, x: BitWord) -> BitWord:
     return BitWord(n, _g(n, x.value))
 
 
-def g_table(n: int, *, budget: int = DEFAULT_PAIR_BUDGET) -> TruthTableMap:
-    """Materialize the full permutation table for bulk verification."""
+def _g_values(n: int, budget: int) -> list[int]:
+    """The permutation's image of every input 0..2^n-1, as integers."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     size = 1 << n
     if size > budget:
         raise BudgetExceededError(size, budget, what="table entries")
+    return [_g(n, v) for v in range(size)]
+
+
+def g_table(n: int, *, budget: int = DEFAULT_PAIR_BUDGET) -> TruthTableMap:
+    """Materialize the full permutation table for bulk verification."""
     return TruthTableMap(
-        n, n, tuple(BitWord(n, _g(n, v)) for v in range(size))
+        n, n, tuple(BitWord(n, v) for v in _g_values(n, budget))
     )
 
 
 def verify_diffusive(
     table: TruthTableMap,
+    k: int = 1,
     *,
     budget: int = DEFAULT_PAIR_BUDGET,
     threads: int = 1,
 ) -> DiffusionReport:
-    """Sum each output bit of f(x) ^ f(y) over all distance-1 pairs.
+    """Sum each output bit of f(x) ^ f(y) over all pairs at distance 1..k.
 
-    Passes iff the map is injective and every sum equals n * 2^(n-2)
-    exactly. All m output bits are checked, also when m > n.
+    Passes iff the map is injective and every sum equals exactly half the
+    pair count (n * 2^(n-2) for k = 1). All m output bits are checked,
+    also when m > n.
     """
     n, m = table.input_dim, table.output_dim
+    npairs = pair_count(PairSpec(n, k))
     if n < 2:
         raise ValueError(
             "no diffusive map exists on 1-bit inputs: the required per-bit "
             "sum n * 2^(n-2) is not an integer"
         )
-    npairs = n << (n - 1)
     if npairs > budget:
         raise BudgetExceededError(npairs, budget)
-    target = n << (n - 2)
+    target = npairs // 2
     values = _scan.table_values(table)
-    sums = _scan.bit_sums(values, m, flip_patterns(n), threads=threads)
+    sums = _scan.bit_sums(values, m, diff_patterns(n, k), threads=threads)
     injective = table.is_injective()
     passed = injective and all(s == target for s in sums)
     return DiffusionReport(
@@ -156,12 +166,7 @@ def quadruple_sum_check(n: int, *, budget: int = DEFAULT_PAIR_BUDGET) -> bool:
     images of the cycle x|00 -> x|10 -> x|11 -> x|01 -> x|00 must sum to
     exactly 2.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    size = 1 << n
-    if size > budget:
-        raise BudgetExceededError(size, budget, what="table entries")
-    t = [_g(n, v) for v in range(size)]
+    t = _g_values(n, budget)
     for prefix in range(1 << (n - 2)):
         base = prefix << 2
         a, b, c, d = t[base], t[base | 2], t[base | 3], t[base | 1]
@@ -189,11 +194,8 @@ def decompose_sums(
         raise ValueError(f"n must be >= 3, got {n}")
     if not 1 <= i <= n:
         raise ValueError(f"output index {i} out of range 1..{n}")
-    size = 1 << n
-    if size > budget:
-        raise BudgetExceededError(size, budget, what="table entries")
-    values = _scan.table_values(g_table(n, budget=budget))
-    half = size >> 1
+    values = np.array(_g_values(n, budget), dtype=np.uint64)
+    half = 1 << (n - 1)
     patterns = flip_patterns(n - 1)
     p = _scan.bit_sums(values[:half], n, patterns)[i - 1]
     q = _scan.bit_sums(values[half:], n, patterns)[i - 1]

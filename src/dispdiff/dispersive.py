@@ -5,8 +5,8 @@ The minimum feasible output dimension for input width n is n+2, n+1, n,
 n+1 as n is 0, 1, 2, 3 mod 4.  The construction is linear: pick n
 independent generators of weight m/2, so a flip of input bit i XORs
 generator i into the output.  Verification is available both ways: an
-exhaustive scan of every distance-1 input pair, and the rank/weight check
-that never enumerates.
+exhaustive scan of every input pair at distance 1..k (k = 1 is the
+single-flip property), and the rank/weight check that never enumerates.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from .bitword import (
     DEFAULT_PAIR_BUDGET,
     BitWord,
     BudgetExceededError,
-    flip_patterns,
+    PairSpec,
+    diff_patterns,
+    pair_count,
     weight,
     xor,
 )
@@ -96,24 +98,26 @@ def build_dispersive(n: int, target_m: int | None = None) -> LinearMap:
 
 def verify_dispersive(
     table: TruthTableMap,
+    k: int = 1,
     *,
     budget: int = DEFAULT_PAIR_BUDGET,
     threads: int = 1,
 ) -> DispersionReport:
-    """Exhaustively check dispersion over every distance-1 input pair.
+    """Exhaustively check dispersion over every input pair at distance
+    1..k.
 
     Passes iff the output dimension is even, the map is injective, and
-    each of the n * 2^(n-1) pairs lands at output distance exactly m/2.
-    The first failing pair in enumeration order is reported.
+    each pair lands at output distance exactly m/2. The first failing
+    pair in (x, diff_patterns index) order is reported.
     """
     n, m = table.input_dim, table.output_dim
-    npairs = n << (n - 1)
+    npairs = pair_count(PairSpec(n, k))
     if npairs > budget:
         raise BudgetExceededError(npairs, budget)
     values = _scan.table_values(table)
     injective = table.is_injective()
     viol = _scan.first_distance_violation(
-        values, m, flip_patterns(n), threads=threads
+        values, m, diff_patterns(n, k), threads=threads
     )
     pair = None
     dist = None

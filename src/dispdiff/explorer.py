@@ -1,32 +1,22 @@
-"""Desk-scale brute force for the k-generalizations.
+"""Desk-scale search for linear k-dispersive maps.
 
 The k-dispersive condition quantifies over pairs at distance up to k
-instead of exactly 1; k-diffusive likewise widens the sample space.  The
-search looks for linear witnesses only: generator n-tuples over the
-target space, in lexicographic order of generator values, pruned by the
-requirement that every XOR of 1..k generators is semi-weight and that the
-generators stay independent.  Exhaustion therefore refutes only linear
-existence; the nonlinear space is astronomically larger.
+instead of exactly 1.  The search looks for linear witnesses only:
+generator n-tuples over the target space, in lexicographic order of
+generator values, pruned by the requirement that every XOR of 1..k
+generators is semi-weight and that the generators stay independent.
+Exhaustion therefore refutes only linear existence; the nonlinear space
+is astronomically larger.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import _scan
-from .bitword import (
-    DEFAULT_PAIR_BUDGET,
-    BitWord,
-    BudgetExceededError,
-    PairSpec,
-    diff_patterns,
-    pair_count,
-)
+from .bitword import DEFAULT_PAIR_BUDGET, BitWord, BudgetExceededError
 from .dispersive import DispersionReport, verify_dispersive
 from .diffusive import DiffusionReport, verify_diffusive
-from .f2linear import LinearMap, TruthTableMap, _rank_ints
+from .f2linear import LinearMap, TruthTableMap, _rank_ints, _reduce
 
 # Enumerating candidate generators walks all of F2^m once; beyond this
 # width the candidate list itself is out of desk range.
@@ -48,32 +38,8 @@ def verify_k_dispersive(
     budget: int = DEFAULT_PAIR_BUDGET,
     threads: int = 1,
 ) -> DispersionReport:
-    """verify_dispersive quantified over pairs at distance 1..k."""
-    n, m = table.input_dim, table.output_dim
-    spec = PairSpec(n, k)
-    if k == 1:
-        return verify_dispersive(table, budget=budget, threads=threads)
-    npairs = pair_count(spec)
-    if npairs > budget:
-        raise BudgetExceededError(npairs, budget)
-    values = _scan.table_values(table)
-    injective = table.is_injective()
-    viol = _scan.first_distance_violation(
-        values, m, diff_patterns(n, k), threads=threads
-    )
-    pair = None
-    dist = None
-    if viol is not None:
-        x, d, dist = viol
-        pair = (BitWord(n, x), BitWord(n, x ^ d))
-    return DispersionReport(
-        passed=m % 2 == 0 and injective and viol is None,
-        output_dim_even=m % 2 == 0,
-        injective=injective,
-        first_violation=pair,
-        violation_distance=dist,
-        pairs_checked=npairs,
-    )
+    """verify_dispersive with k required."""
+    return verify_dispersive(table, k, budget=budget, threads=threads)
 
 
 def verify_k_diffusive(
@@ -83,30 +49,8 @@ def verify_k_diffusive(
     budget: int = DEFAULT_PAIR_BUDGET,
     threads: int = 1,
 ) -> DiffusionReport:
-    """Per-bit sums over pairs at distance 1..k.
-
-    Passes iff injective and each sum doubled equals the pair count, the
-    integer form of "half the pairs", which cleanly fails when the pair
-    count is odd instead of dividing.
-    """
-    n, m = table.input_dim, table.output_dim
-    spec = PairSpec(n, k)
-    if k == 1:
-        return verify_diffusive(table, budget=budget, threads=threads)
-    npairs = pair_count(spec)
-    if npairs > budget:
-        raise BudgetExceededError(npairs, budget)
-    values = _scan.table_values(table)
-    sums = _scan.bit_sums(values, m, diff_patterns(n, k), threads=threads)
-    injective = table.is_injective()
-    passed = injective and all(2 * s == npairs for s in sums)
-    return DiffusionReport(
-        passed=passed,
-        injective=injective,
-        per_bit_sums=tuple(sums),
-        target=Fraction(npairs, 2),
-        pairs_checked=npairs,
-    )
+    """verify_diffusive with k required."""
+    return verify_diffusive(table, k, budget=budget, threads=threads)
 
 
 def search_linear_k_dispersive(
@@ -157,14 +101,6 @@ def search_linear_k_dispersive(
     pivots: dict[int, int] = {}
     examined = 0
 
-    def reduce(v: int) -> int:
-        while v:
-            p = v.bit_length() - 1
-            if p not in pivots:
-                break
-            v ^= pivots[p]
-        return v
-
     def dfs() -> list[int] | None:
         nonlocal examined
         depth = len(chosen)
@@ -174,7 +110,7 @@ def search_linear_k_dispersive(
                 return None
             if any((v ^ s).bit_count() != half for _, s in sub_xors):
                 continue
-            residue = reduce(v)
+            residue = _reduce(v, pivots)
             if not residue:
                 continue
             chosen.append(v)

@@ -172,6 +172,15 @@ class TestExplore:
         assert code == 2
         assert stdout == "EXHAUSTED 6 candidates\n"
 
+    def test_budget_cutoff_is_one_error_line(self, capsys):
+        code, stdout, stderr = run(
+            capsys,
+            "explore", "--n", "3", "--k", "3", "--m-max", "8", "--budget", "2",
+        )
+        assert code == 1 and stdout == ""
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_reproduces_min_dim(self, capsys):
         code, stdout, _ = run(
             capsys, "explore", "--n", "3", "--k", "1", "--m-max", "8"

@@ -137,6 +137,35 @@ class TestVerifyDiffusive:
         assert len(report.per_bit_sums) == 5
         assert report.passed
 
+    def test_huge_thread_count_clamped_to_cpu_count(self, monkeypatch):
+        from dispdiff import _scan
+
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        table = g_table(4)
+        serial = (verify_diffusive(table), verify_dispersive(table, 2))
+        monkeypatch.setattr(_scan, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(_scan.os, "cpu_count", lambda: 2)
+        clamped = (
+            verify_diffusive(table, threads=100_000),
+            verify_dispersive(table, 2, threads=100_000),
+        )
+        assert clamped == serial
+        assert seen == [2, 2]
+
 
 class TestColumnDiffusive:
     def test_n2_identity(self):

@@ -21,6 +21,7 @@ from dispdiff import (
     verify_k_dispersive,
     verify_k_diffusive,
 )
+from dispdiff.bitword import diff_patterns
 
 import naive
 
@@ -65,9 +66,24 @@ class TestVerifyKDispersive:
                 format(j, f"0{n}b"): str(w)
                 for j, w in enumerate(table.table)
             }
-            assert verify_k_dispersive(table, k).passed == naive.is_dispersive(
-                as_dict, n, k
+            report = verify_k_dispersive(table, k)
+            assert report.passed == naive.is_dispersive(as_dict, n, k)
+            viols = naive.dispersion_violations(as_dict, n, k)
+            if not viols:
+                assert report.first_violation is None
+                assert report.violation_distance is None
+                continue
+            # documented order: smaller element x, then diff_patterns index
+            pats = diff_patterns(n, k)
+            a, b, dist = min(
+                viols,
+                key=lambda v: (
+                    int(v[0], 2), pats.index(int(v[0], 2) ^ int(v[1], 2))
+                ),
             )
+            x, y = report.first_violation
+            assert (str(x), str(y)) == (a, b)
+            assert report.violation_distance == dist
 
     def test_k_validation(self):
         table = g_table(3)
@@ -110,7 +126,7 @@ class TestVerifyKDiffusive:
         rng = random.Random(313)
         for _ in range(15):
             n = rng.randint(2, 5)
-            k = rng.randint(2, n)
+            k = rng.randint(1, n)
             table = _random_table(rng, n, 2 * rng.randint(1, 3))
             as_dict = {
                 format(j, f"0{n}b"): str(w)
@@ -120,6 +136,8 @@ class TestVerifyKDiffusive:
             assert list(report.per_bit_sums) == naive.diffusion_sums(
                 as_dict, n, k
             )
+            assert type(report.target) is int
+            assert report.target == pair_count(PairSpec(n, k)) // 2
 
     def test_pair_counts_even_so_targets_are_integral(self):
         # the 2^(n-1) factor makes every sample space even for n >= 2, so
