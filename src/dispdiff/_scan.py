@@ -26,9 +26,7 @@ T = TypeVar("T")
 
 
 def table_values(table: TruthTableMap) -> np.ndarray:
-    return np.fromiter(
-        (w.value for w in table.table), dtype=np.uint64, count=len(table.table)
-    )
+    return table.values
 
 
 def chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:

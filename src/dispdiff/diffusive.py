@@ -21,6 +21,7 @@ import numpy as np
 from . import _scan
 from .bitword import (
     DEFAULT_PAIR_BUDGET,
+    MAX_WIDTH,
     BitWord,
     BudgetExceededError,
     PairSpec,
@@ -74,21 +75,15 @@ def g_eval(n: int, x: BitWord) -> BitWord:
     return BitWord(n, _g(n, x.value))
 
 
-def _g_values(n: int, budget: int) -> list[int]:
-    """The permutation's image of every input 0..2^n-1, as integers."""
+def g_table(n: int, *, budget: int = DEFAULT_PAIR_BUDGET) -> TruthTableMap:
+    """Materialize the full permutation table for bulk verification."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     size = 1 << n
     if size > budget:
         raise BudgetExceededError(size, budget, what="table entries")
-    return [_g(n, v) for v in range(size)]
-
-
-def g_table(n: int, *, budget: int = DEFAULT_PAIR_BUDGET) -> TruthTableMap:
-    """Materialize the full permutation table for bulk verification."""
-    return TruthTableMap(
-        n, n, tuple(BitWord(n, v) for v in _g_values(n, budget))
-    )
+    values = np.fromiter((_g(n, v) for v in range(size)), dtype=np.uint64, count=size)
+    return TruthTableMap(n, n, values)
 
 
 def verify_diffusive(
@@ -149,13 +144,11 @@ def extend_output(map_: TruthTableMap, extra: int) -> TruthTableMap:
     if extra < 1:
         raise ValueError(f"extra must be >= 1, got {extra}")
     m = map_.output_dim
-    if m + extra > 64:
-        raise ValueError(f"extended width {m + extra} exceeds cap 64")
-    ones = (1 << extra) - 1
-    new = tuple(
-        BitWord(m + extra, (w.value << extra) | (ones * (w.value >> (m - 1))))
-        for w in map_.table
-    )
+    if m + extra > MAX_WIDTH:
+        raise ValueError(f"extended width {m + extra} exceeds cap {MAX_WIDTH}")
+    v = map_.values
+    ones = np.uint64((1 << extra) - 1)
+    new = (v << np.uint64(extra)) | (ones * (v >> np.uint64(m - 1)))
     return TruthTableMap(map_.input_dim, m + extra, new)
 
 
@@ -166,21 +159,13 @@ def quadruple_sum_check(n: int, *, budget: int = DEFAULT_PAIR_BUDGET) -> bool:
     images of the cycle x|00 -> x|10 -> x|11 -> x|01 -> x|00 must sum to
     exactly 2.
     """
-    t = _g_values(n, budget)
-    for prefix in range(1 << (n - 2)):
-        base = prefix << 2
-        a, b, c, d = t[base], t[base | 2], t[base | 3], t[base | 1]
-        d0, d1, d2, d3 = a ^ b, b ^ c, c ^ d, d ^ a
-        for bit in range(n):
-            total = (
-                ((d0 >> bit) & 1)
-                + ((d1 >> bit) & 1)
-                + ((d2 >> bit) & 1)
-                + ((d3 >> bit) & 1)
-            )
-            if total != 2:
-                return False
-    return True
+    t = g_table(n, budget=budget).values
+    a, b, c, d = t[0::4], t[2::4], t[3::4], t[1::4]
+    d0, d1, d2, d3 = a ^ b, b ^ c, c ^ d, d ^ a
+    # d0 ^ d1 ^ d2 ^ d3 == 0, so each bit is set in 0, 2 or 4 of them:
+    # exactly 2 means set in some (the OR) and not in all (the AND).
+    full = np.uint64((1 << n) - 1)
+    return bool(np.all((d0 | d1 | d2 | d3) == full) and not np.any(d0 & d1 & d2 & d3))
 
 
 def decompose_sums(
@@ -194,7 +179,7 @@ def decompose_sums(
         raise ValueError(f"n must be >= 3, got {n}")
     if not 1 <= i <= n:
         raise ValueError(f"output index {i} out of range 1..{n}")
-    values = np.array(_g_values(n, budget), dtype=np.uint64)
+    values = g_table(n, budget=budget).values
     half = 1 << (n - 1)
     patterns = flip_patterns(n - 1)
     p = _scan.bit_sums(values[:half], n, patterns)[i - 1]

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _scan
 from .bitword import (
     DEFAULT_PAIR_BUDGET,
@@ -22,7 +24,6 @@ from .bitword import (
     diff_patterns,
     pair_count,
     weight,
-    xor,
 )
 from .f2linear import LinearMap, TruthTableMap, rank, tabulate
 
@@ -166,14 +167,10 @@ def verify_dispersive_linear(map_: LinearMap) -> DispersionReport:
 def normalize_to_zero(table: TruthTableMap) -> TruthTableMap:
     """XOR every output with the image of the all-zeros input, so zero
     maps to zero. Pairwise output distances are unchanged."""
-    shift = table.table[0]
-    if shift.value == 0:
+    shift = table.values[0]
+    if shift == 0:
         return table
-    return TruthTableMap(
-        table.input_dim,
-        table.output_dim,
-        tuple(xor(w, shift) for w in table.table),
-    )
+    return TruthTableMap(table.input_dim, table.output_dim, table.values ^ shift)
 
 
 def even_weight_obstruction_check(
@@ -192,8 +189,7 @@ def even_weight_obstruction_check(
     report = verify_dispersive(table, budget=budget, threads=threads)
     if not report.passed:
         raise ValueError("map is not dispersive; obstruction check undefined")
-    normalized = normalize_to_zero(table)
-    return all(weight(w) % 2 == 0 for w in normalized.table)
+    return not np.any(np.bitwise_count(normalize_to_zero(table).values) & 1)
 
 
 def dispersive_table(

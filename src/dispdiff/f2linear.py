@@ -10,8 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bitword import (
     DEFAULT_PAIR_BUDGET,
+    MAX_WIDTH,
     BitWord,
     BudgetExceededError,
 )
@@ -37,35 +40,56 @@ class LinearMap:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthTableMap:
     """Explicit input -> output table for an arbitrary map between word
-    spaces. Entry j is the image of the input with integer value j."""
+    spaces. ``values[j]`` is the image of the input with integer value j,
+    held as a read-only uint64 array; construct from a BitWord sequence
+    or an integer array (copied either way)."""
 
     input_dim: int
     output_dim: int
-    table: tuple[BitWord, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("dimensions must be >= 1")
-        if len(self.table) != 1 << self.input_dim:
-            raise ValueError(
-                f"table must have {1 << self.input_dim} entries, got {len(self.table)}"
-            )
-        for w in self.table:
-            if w.width != self.output_dim:
-                raise ValueError(
-                    f"table entry width {w.width} != output dim {self.output_dim}"
-                )
+        n, m = self.input_dim, self.output_dim
+        if not (1 <= n <= MAX_WIDTH and 1 <= m <= MAX_WIDTH):
+            raise ValueError(f"dimensions must be in 1..{MAX_WIDTH}")
+        entries = self.values
+        if not isinstance(entries, np.ndarray):
+            for w in entries:
+                if w.width != m:
+                    raise ValueError(f"table entry width {w.width} != output dim {m}")
+            entries = [w.value for w in entries]
+        elif entries.dtype.kind not in "ui" or np.any(entries < 0):
+            raise ValueError("table values must be non-negative integers")
+        values = np.array(entries, dtype=np.uint64)
+        if values.shape != (1 << n,):
+            raise ValueError(f"table must have {1 << n} entries, got {values.size}")
+        if m < MAX_WIDTH and np.any(values >> np.uint64(m)):
+            raise ValueError(f"table entry wider than output dim {m}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TruthTableMap):
+            return NotImplemented
+        same = np.array_equal(self.values, other.values)  # hence same input_dim
+        return same and self.output_dim == other.output_dim
+
+    @property
+    def table(self) -> tuple[BitWord, ...]:
+        """The entries as BitWords, built on each access."""
+        return tuple(BitWord(self.output_dim, v) for v in self.values.tolist())
 
     def is_injective(self) -> bool:
-        return len({w.value for w in self.table}) == len(self.table)
+        # a repeated value shows as a zero step between sorted neighbours
+        return bool(np.all(np.diff(np.sort(self.values))))
 
     def lookup(self, x: BitWord) -> BitWord:
         if x.width != self.input_dim:
             raise ValueError(f"width mismatch: {x.width} != {self.input_dim}")
-        return self.table[x.value]
+        return BitWord(self.output_dim, int(self.values[x.value]))
 
 
 def apply(map_: LinearMap, x: BitWord) -> BitWord:
@@ -139,17 +163,13 @@ def tabulate(
     size = 1 << n
     if size > budget:
         raise BudgetExceededError(size, budget, what="table entries")
-    gens = [g.value for g in map_.generators]
-    values = [0] * size
-    # Entry j gets generator i XORed in exactly when bit i of j is set,
-    # which is apply() evaluated entry by entry.
-    for i in range(n):
-        gv = gens[i]
-        bit = 1 << (n - 1 - i)
-        for j in range(size):
-            if j & bit:
-                values[j] ^= gv
-    return TruthTableMap(n, m, tuple(BitWord(m, v) for v in values))
+    values = np.zeros(size, dtype=np.uint64)
+    # entry j XORs in generator i iff bit n-1-i of j is set, as in apply()
+    half = 1
+    for g in reversed(map_.generators):
+        values[half : 2 * half] = values[:half] ^ np.uint64(g.value)
+        half *= 2
+    return TruthTableMap(n, m, values)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +201,9 @@ def parse_generator_matrix(text: str) -> LinearMap:
 
 
 def serialize_truth_table(map_: TruthTableMap) -> str:
-    n = map_.input_dim
-    lines = [f"{n} {map_.output_dim}"]
-    lines.extend(
-        f"{format(j, f'0{n}b')} {out}" for j, out in enumerate(map_.table)
-    )
+    n, m = map_.input_dim, map_.output_dim
+    lines = [f"{n} {m}"]
+    lines.extend(f"{j:0{n}b} {v:0{m}b}" for j, v in enumerate(map_.values.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -207,11 +225,12 @@ def parse_truth_table(text: str) -> TruthTableMap:
             raise ValueError(
                 f"table inputs must ascend: expected {format(j, f'0{n}b')}, got {inp!r}"
             )
-        w = BitWord.parse(out)
-        if w.width != m:
-            raise ValueError(f"output width {w.width} != {m}")
-        outputs.append(w)
-    return TruthTableMap(n, m, tuple(outputs))
+        if not out or out.strip("01"):
+            raise ValueError(f"not a binary word: {out!r}")
+        if len(out) != m:
+            raise ValueError(f"output width {len(out)} != {m}")
+        outputs.append(int(out, 2))
+    return TruthTableMap(n, m, np.array(outputs, dtype=np.uint64))
 
 
 def parse_map_file(text: str) -> LinearMap | TruthTableMap:
@@ -241,6 +260,7 @@ def _parse_header(line: str) -> tuple[int, int]:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"bad header line: {line!r}") from None
-    if n < 1 or m < 1:
+    # the cap also keeps 1 << n from exhausting memory on a huge header
+    if not (1 <= n <= MAX_WIDTH and 1 <= m <= MAX_WIDTH):
         raise ValueError(f"bad dimensions in header: {line!r}")
     return n, m

@@ -208,6 +208,18 @@ class TestContract:
         assert main(["verify", "dispersive"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("header", ["99999999999 1", "1 99999999999", "65 2"])
+    @pytest.mark.parametrize(
+        "argv", [["info", "{}"], ["eval", "{}", "1"], ["verify", "dispersive", "{}"]]
+    )
+    def test_huge_header_is_one_error_line(self, tmp_path, capsys, header, argv):
+        path = tmp_path / "huge.tt"
+        path.write_text(f"{header}\n0 1\n")
+        code, stdout, stderr = run(capsys, *(a.format(path) for a in argv))
+        assert code == 1 and stdout == ""
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_file_roundtrip_byte_identical(self, tmp_path, capsys):
         from dispdiff import parse_map_file, serialize_generator_matrix
 

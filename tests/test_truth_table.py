@@ -1,0 +1,206 @@
+"""The array-backed truth table: construction edges, and differential
+checks of every array expression against its per-entry formula."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from dispdiff import (
+    MAX_WIDTH,
+    BitWord,
+    LinearMap,
+    TruthTableMap,
+    apply,
+    extend_output,
+    g_table,
+    parse_map_file,
+    parse_truth_table,
+    quadruple_sum_check,
+    serialize_truth_table,
+    tabulate,
+)
+from dispdiff import diffusive
+
+
+def _dims_and_values(max_n: int):
+    """(n, m, 2^n entries that fit in m bits), m up to the 64-bit cap."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.integers(1, MAX_WIDTH).flatmap(
+            lambda m: st.tuples(
+                st.just(n),
+                st.just(m),
+                st.lists(
+                    st.integers(0, (1 << m) - 1), min_size=1 << n, max_size=1 << n
+                ),
+            )
+        )
+    )
+
+
+tables_st = _dims_and_values(5).map(
+    lambda t: TruthTableMap(t[0], t[1], np.array(t[2], dtype=np.uint64))
+)
+
+linear_maps_st = st.integers(1, 8).flatmap(
+    lambda n: st.integers(1, MAX_WIDTH).flatmap(
+        lambda m: st.lists(
+            st.integers(0, (1 << m) - 1), min_size=n, max_size=n
+        ).map(lambda gens: LinearMap(n, m, tuple(BitWord(m, g) for g in gens)))
+    )
+)
+
+
+class TestConstruction:
+    def test_values_are_read_only(self):
+        table = g_table(3)
+        with pytest.raises(ValueError):
+            table.values[0] = 1
+        assert table.values.dtype == np.uint64
+
+    def test_caller_array_is_copied(self):
+        source = np.arange(4, dtype=np.uint64)
+        table = TruthTableMap(2, 2, source)
+        source[0] = 3
+        assert table.values.tolist() == [0, 1, 2, 3]
+        assert source.flags.writeable
+
+    @pytest.mark.parametrize(
+        "m, values",
+        [(2, [0, 4]), (1, [2, 1]), (63, [0, 1 << 63])],
+    )
+    def test_entry_wider_than_output_dim_rejected(self, m, values):
+        with pytest.raises(ValueError):
+            TruthTableMap(1, m, np.array(values, dtype=np.uint64))
+
+    def test_full_width_entries_accepted(self):
+        table = TruthTableMap(1, 64, np.array([0, (1 << 64) - 1], dtype=np.uint64))
+        assert str(table.lookup(BitWord(1, 1))) == "1" * 64
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0, -1], dtype=np.int64),
+            np.array([0.0, 1.0]),
+            np.array([[0], [1]], dtype=np.uint64),
+            np.array([0, 1, 0], dtype=np.uint64),
+        ],
+    )
+    def test_malformed_arrays_rejected(self, values):
+        with pytest.raises(ValueError):
+            TruthTableMap(1, 2, values)
+
+    @pytest.mark.parametrize("n, m", [(0, 1), (1, 0), (65, 1), (1, 65)])
+    def test_dimensions_out_of_range_rejected(self, n, m):
+        with pytest.raises(ValueError):
+            TruthTableMap(n, m, np.zeros(2, dtype=np.uint64))
+
+    def test_equality_needs_same_output_dim(self):
+        values = np.array([0, 1], dtype=np.uint64)
+        assert TruthTableMap(1, 2, values) != TruthTableMap(1, 3, values)
+        assert TruthTableMap(1, 2, values) == TruthTableMap(1, 2, values.copy())
+
+    @given(_dims_and_values(5))
+    def test_bitwords_and_ints_build_equal_tables(self, dims_values):
+        n, m, ints = dims_values
+        from_words = TruthTableMap(n, m, tuple(BitWord(m, v) for v in ints))
+        from_ints = TruthTableMap(n, m, np.array(ints, dtype=np.uint64))
+        assert from_words == from_ints
+        assert from_ints.table == tuple(BitWord(m, v) for v in ints)
+
+
+class TestArrayPaths:
+    @given(linear_maps_st)
+    def test_tabulate_matches_apply(self, map_):
+        n = map_.input_dim
+        values = tabulate(map_).values.tolist()
+        assert values == [apply(map_, BitWord(n, j)).value for j in range(1 << n)]
+
+    @given(tables_st)
+    def test_serialize_parse_roundtrip(self, table):
+        text = serialize_truth_table(table)
+        assert parse_truth_table(text) == table
+        assert text.splitlines()[1:] == [
+            f"{format(j, f'0{table.input_dim}b')} {w}"
+            for j, w in enumerate(table.table)
+        ]
+
+    @given(tables_st, st.data())
+    def test_extend_output_matches_entry_formula(self, table, data):
+        m = table.output_dim
+        if m == MAX_WIDTH:
+            return
+        extra = data.draw(st.integers(1, MAX_WIDTH - m))
+        ones = (1 << extra) - 1
+        expected = [
+            (v << extra) | (ones * (v >> (m - 1))) for v in table.values.tolist()
+        ]
+        extended = extend_output(table, extra)
+        assert extended.output_dim == m + extra
+        assert extended.values.tolist() == expected
+
+
+def _quadruple_sums_hold(values: list[int], n: int) -> bool:
+    """The cycle identity counted bit by bit, one prefix at a time."""
+    for base in range(0, 1 << n, 4):
+        a, b, c, d = (values[base | o] for o in (0, 2, 3, 1))
+        diffs = (a ^ b, b ^ c, c ^ d, d ^ a)
+        for bit in range(n):
+            if sum((x >> bit) & 1 for x in diffs) != 2:
+                return False
+    return True
+
+
+class TestQuadrupleSumCheck:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_per_bit_count(self, n):
+        expected = _quadruple_sums_hold(g_table(n).values.tolist(), n)
+        assert quadruple_sum_check(n) is expected is True
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_per_bit_count_on_other_tables(self, n, monkeypatch):
+        rng = random.Random(7919 + n)
+        real = g_table(n).values.tolist()
+        candidates = [real[:], real[:], rng.sample(range(1 << n), 1 << n)]
+        candidates += [list(range(1 << n)), [0] * (1 << n)]
+        i, j = rng.sample(range(1 << n), 2)
+        candidates[0][i], candidates[0][j] = candidates[0][j], candidates[0][i]
+        candidates[1][i] ^= 1
+        for values in candidates:
+            fake = TruthTableMap(n, n, np.array(values, dtype=np.uint64))
+            monkeypatch.setattr(diffusive, "g_table", lambda *_a, **_k: fake)
+            assert quadruple_sum_check(n) is _quadruple_sums_hold(values, n)
+
+
+header_ints = st.one_of(
+    st.integers(-2, 70).map(str),
+    st.integers(-(10**30), 10**30).map(str),
+    st.integers(4290, 4400).map(lambda k: "9" * k),
+    st.text(max_size=4),
+)
+rows_st = st.lists(
+    st.one_of(
+        st.text("01", max_size=8),
+        st.builds("{} {}".format, st.text("01", max_size=4), st.text("01", max_size=8)),
+        st.text(max_size=8),
+    ),
+    max_size=17,
+)
+
+
+class TestParseMapFile:
+    @pytest.mark.parametrize("word", ["0_1", "\t01", "01\t", "\u0661\u0660\u0661"])
+    def test_words_int_would_accept_are_rejected(self, word):
+        with pytest.raises(ValueError, match="not a binary word"):
+            parse_map_file(f"1 3\n0 {word}\n1 101\n")
+
+    @given(header_ints, header_ints, rows_st, st.booleans())
+    def test_returns_a_map_or_raises_value_error(self, n, m, rows, newline):
+        text = "\n".join([f"{n} {m}", *rows]) + ("\n" if newline else "")
+        try:
+            parsed = parse_map_file(text)
+        except ValueError:
+            return
+        assert isinstance(parsed, (LinearMap, TruthTableMap))
