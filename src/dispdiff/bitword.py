@@ -19,8 +19,8 @@ from typing import Iterator
 
 MAX_WIDTH = 64
 
-# Refuse pair enumerations beyond this many pairs unless the caller
-# explicitly raises the budget.
+# Default ``budget``: the most pairs a verifier enumerates, or candidates
+# the search tests, unless the caller raises it.
 DEFAULT_PAIR_BUDGET = 1 << 28
 
 
@@ -43,8 +43,7 @@ class BitWord:
     value: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {self.width}")
+        _check_width(self.width)
         if not 0 <= self.value < (1 << self.width):
             raise ValueError(
                 f"value {self.value} does not fit in {self.width} bits"
@@ -63,6 +62,7 @@ class BitWord:
 
     @classmethod
     def ones(cls, width: int) -> "BitWord":
+        _check_width(width)
         return cls(width, (1 << width) - 1)
 
     @classmethod
@@ -70,6 +70,7 @@ class BitWord:
         """The standard basis word with a single 1-bit at index ``i``."""
         if not 1 <= i <= width:
             raise ValueError(f"index {i} out of range 1..{width}")
+        _check_width(width)
         return cls(width, 1 << (width - i))
 
     def __str__(self) -> str:
@@ -80,6 +81,12 @@ class BitWord:
 
     def __xor__(self, other: "BitWord") -> "BitWord":
         return xor(self, other)
+
+
+def _check_width(width: int) -> None:
+    # before any 1 << width, which a huge width would fill memory with
+    if not 1 <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {width}")
 
 
 def xor(x: BitWord, y: BitWord) -> BitWord:
@@ -221,7 +228,8 @@ def enumerate_pairs(
     Deterministic order: the smaller element x ascending, then XOR patterns
     in the diff_patterns order. A pair is emitted at its smaller element,
     so restricting ``x_range`` to [lo, hi) partitions the space into
-    disjoint chunks that cover it exactly.
+    disjoint chunks that cover it exactly. More pairs in the whole space
+    than ``budget`` raise BudgetExceededError.
     """
     total = pair_count(spec)
     if total > budget:

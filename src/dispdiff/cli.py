@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bitword import DEFAULT_PAIR_BUDGET, BitWord, BudgetExceededError
+from .bitword import DEFAULT_PAIR_BUDGET, BitWord, PairSpec
 from .dispersive import build_dispersive, format_dispersion_report
 from .diffusive import column_diffusive, format_diffusion_report, g_table
 from .explorer import (
@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--m", type=int, default=None, help="output width (dispersive only)"
     )
     p.add_argument("--out", required=True, help="output file path")
-    p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("eval", help="apply a map file to one input word")
@@ -61,7 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("map_file", metavar="map-file")
     p.add_argument("--k", type=int, default=1, help="max pair distance")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_PAIR_BUDGET,
+        help="max pairs to enumerate",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
@@ -70,7 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET)
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_PAIR_BUDGET,
+        help="max candidates per width",
+    )
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("info", help="describe a map file")
@@ -86,17 +91,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.kind == "dispersive":
         built = build_dispersive(args.n, args.m)
         text = serialize_generator_matrix(built)
-        m = built.output_dim
     elif args.kind == "column-diffusive":
         built = column_diffusive(args.n)
         text = serialize_generator_matrix(built)
-        m = built.output_dim
     else:
-        table = g_table(args.n, budget=args.budget)
-        text = serialize_truth_table(table)
-        m = table.output_dim
+        built = g_table(args.n)
+        text = serialize_truth_table(built)
     Path(args.out).write_text(text)
-    print(f"m={m}")
+    print(f"m={built.output_dim}")
     return 0
 
 
@@ -114,25 +116,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
     map_ = parse_map_file(Path(args.map_file).read_text())
-    table = (
-        tabulate(map_, budget=args.budget)
-        if isinstance(map_, LinearMap)
-        else map_
-    )
+    table = tabulate(map_) if isinstance(map_, LinearMap) else map_
     if args.property == "dispersive":
-        report = verify_k_dispersive(
-            table, args.k, budget=args.budget, threads=args.threads
-        )
-        print(format_dispersion_report(report))
-        return 0 if report.passed else 1
-    report = verify_k_diffusive(
-        table, args.k, budget=args.budget, threads=args.threads
-    )
-    print(format_diffusion_report(report))
+        verify, format_report = verify_k_dispersive, format_dispersion_report
+    else:
+        verify, format_report = verify_k_diffusive, format_diffusion_report
+    report = verify(table, args.k, budget=args.budget, threads=args.threads)
+    print(format_report(report))
     return 0 if report.passed else 1
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
+    PairSpec(args.n, args.k)  # checks n and k even if no width is searched
     total = 0
     for m in range(2, args.m_max + 1, 2):
         outcome = search_linear_k_dispersive(
@@ -180,10 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # BudgetExceededError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,7 @@ from .bitword import (
     flip_patterns,
     pair_count,
 )
-from .f2linear import LinearMap, TruthTableMap, tabulate, transpose
+from .f2linear import LinearMap, TruthTableMap, table_size, transpose
 from .dispersive import build_dispersive
 
 
@@ -75,13 +75,11 @@ def g_eval(n: int, x: BitWord) -> BitWord:
     return BitWord(n, _g(n, x.value))
 
 
-def g_table(n: int, *, budget: int = DEFAULT_PAIR_BUDGET) -> TruthTableMap:
+def g_table(n: int) -> TruthTableMap:
     """Materialize the full permutation table for bulk verification."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    size = 1 << n
-    if size > budget:
-        raise BudgetExceededError(size, budget, what="table entries")
+    size = table_size(n)
     values = np.fromiter((_g(n, v) for v in range(size)), dtype=np.uint64, count=size)
     return TruthTableMap(n, n, values)
 
@@ -97,7 +95,7 @@ def verify_diffusive(
 
     Passes iff the map is injective and every sum equals exactly half the
     pair count (n * 2^(n-2) for k = 1). All m output bits are checked,
-    also when m > n.
+    also when m > n. More pairs than ``budget`` raise BudgetExceededError.
     """
     n, m = table.input_dim, table.output_dim
     npairs = pair_count(PairSpec(n, k))
@@ -152,14 +150,14 @@ def extend_output(map_: TruthTableMap, extra: int) -> TruthTableMap:
     return TruthTableMap(map_.input_dim, m + extra, new)
 
 
-def quadruple_sum_check(n: int, *, budget: int = DEFAULT_PAIR_BUDGET) -> bool:
+def quadruple_sum_check(n: int) -> bool:
     """Check the cycle identity behind the diffusion count.
 
     For every prefix x and every output bit, the four bit-flips around the
     images of the cycle x|00 -> x|10 -> x|11 -> x|01 -> x|00 must sum to
     exactly 2.
     """
-    t = g_table(n, budget=budget).values
+    t = g_table(n).values
     a, b, c, d = t[0::4], t[2::4], t[3::4], t[1::4]
     d0, d1, d2, d3 = a ^ b, b ^ c, c ^ d, d ^ a
     # d0 ^ d1 ^ d2 ^ d3 == 0, so each bit is set in 0, 2 or 4 of them:
@@ -168,9 +166,7 @@ def quadruple_sum_check(n: int, *, budget: int = DEFAULT_PAIR_BUDGET) -> bool:
     return bool(np.all((d0 | d1 | d2 | d3) == full) and not np.any(d0 & d1 & d2 & d3))
 
 
-def decompose_sums(
-    n: int, i: int, *, budget: int = DEFAULT_PAIR_BUDGET
-) -> DecomposedSums:
+def decompose_sums(n: int, i: int) -> DecomposedSums:
     """Split output bit i's diffusion sum for the constructed permutation
     by the leading input bits: pairs inside the 0-prefixed half (p),
     inside the 1-prefixed half (q), and the 2^(n-1) cross pairs {0|x, 1|x}
@@ -179,7 +175,7 @@ def decompose_sums(
         raise ValueError(f"n must be >= 3, got {n}")
     if not 1 <= i <= n:
         raise ValueError(f"output index {i} out of range 1..{n}")
-    values = g_table(n, budget=budget).values
+    values = g_table(n).values
     half = 1 << (n - 1)
     patterns = flip_patterns(n - 1)
     p = _scan.bit_sums(values[:half], n, patterns)[i - 1]

@@ -109,7 +109,8 @@ def verify_dispersive(
 
     Passes iff the output dimension is even, the map is injective, and
     each pair lands at output distance exactly m/2. The first failing
-    pair in (x, diff_patterns index) order is reported.
+    pair in (x, diff_patterns index) order is reported. More pairs than
+    ``budget`` raise BudgetExceededError.
     """
     n, m = table.input_dim, table.output_dim
     npairs = pair_count(PairSpec(n, k))
@@ -184,7 +185,8 @@ def even_weight_obstruction_check(
     when n is 0 mod 4 (only 2^(n-1) even-weight targets exist).
 
     Holds when m/2 is even, since each single-flip step then changes an
-    even number of output bits. Rejects maps that are not dispersive.
+    even number of output bits. Rejects maps that are not dispersive;
+    ``budget`` caps the pairs of that dispersion check.
     """
     report = verify_dispersive(table, budget=budget, threads=threads)
     if not report.passed:
@@ -192,14 +194,9 @@ def even_weight_obstruction_check(
     return not np.any(np.bitwise_count(normalize_to_zero(table).values) & 1)
 
 
-def dispersive_table(
-    n: int,
-    target_m: int | None = None,
-    *,
-    budget: int = DEFAULT_PAIR_BUDGET,
-) -> TruthTableMap:
+def dispersive_table(n: int, target_m: int | None = None) -> TruthTableMap:
     """Tabulated form of build_dispersive(n, target_m)."""
-    return tabulate(build_dispersive(n, target_m), budget=budget)
+    return tabulate(build_dispersive(n, target_m))
 
 
 def format_dispersion_report(report: DispersionReport) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitword import DEFAULT_PAIR_BUDGET, BitWord, BudgetExceededError
+from .bitword import DEFAULT_PAIR_BUDGET, BitWord, BudgetExceededError, PairSpec
 from .dispersive import DispersionReport, verify_dispersive
 from .diffusive import DiffusionReport, verify_diffusive
 from .f2linear import LinearMap, TruthTableMap, _rank_ints, _reduce
@@ -38,7 +38,7 @@ def verify_k_dispersive(
     budget: int = DEFAULT_PAIR_BUDGET,
     threads: int = 1,
 ) -> DispersionReport:
-    """verify_dispersive with k required."""
+    """verify_dispersive with k required; ``budget`` counts pairs."""
     return verify_dispersive(table, k, budget=budget, threads=threads)
 
 
@@ -49,7 +49,7 @@ def verify_k_diffusive(
     budget: int = DEFAULT_PAIR_BUDGET,
     threads: int = 1,
 ) -> DiffusionReport:
-    """verify_diffusive with k required."""
+    """verify_diffusive with k required; ``budget`` counts pairs."""
     return verify_diffusive(table, k, budget=budget, threads=threads)
 
 
@@ -75,10 +75,7 @@ def search_linear_k_dispersive(
     exist inside it (for m/2 even they all lie in the even-weight
     hyperplane).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
+    PairSpec(n, k)  # validates n and k
     if m < 2 or m % 2:
         raise ValueError(f"m must be even and >= 2, got {m}")
     if m > MAX_SEARCH_WIDTH:
@@ -146,8 +143,10 @@ def min_linear_dim_k(
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> int | None:
     """Smallest even m <= m_max with a linear k-dispersive witness, or
-    None when every such m exhausts empty. A budget cutoff aborts (the
-    minimum would be unproven) rather than skipping the width."""
+    None when every such m exhausts empty. ``budget`` caps the candidates
+    tested at each width; a cutoff aborts (the minimum would be unproven)
+    rather than skipping the width."""
+    PairSpec(n, k)  # validates n and k, even if no width is searched
     for m in range(2, m_max + 1, 2):
         outcome = search_linear_k_dispersive(n, k, m, budget=budget)
         if outcome.found:

@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitword import (
-    DEFAULT_PAIR_BUDGET,
-    MAX_WIDTH,
-    BitWord,
-    BudgetExceededError,
-)
+from .bitword import MAX_WIDTH, BitWord
+
+# Largest table any call materialises: 2^28 uint64 entries, 2 GiB.
+MAX_TABLE_BITS = 28
 
 
 @dataclass(frozen=True)
@@ -155,15 +153,20 @@ def transpose(map_: LinearMap) -> LinearMap:
     return LinearMap(n, m, tuple(cols))
 
 
-def tabulate(
-    map_: LinearMap, *, budget: int = DEFAULT_PAIR_BUDGET
-) -> TruthTableMap:
+def table_size(n: int) -> int:
+    """Entry count 2^n of an n-input table, refused above 2^MAX_TABLE_BITS
+    before 2^n is computed."""
+    if n > MAX_TABLE_BITS:
+        raise ValueError(
+            f"a table on n={n} inputs exceeds the cap of 2^{MAX_TABLE_BITS} entries"
+        )
+    return 1 << n
+
+
+def tabulate(map_: LinearMap) -> TruthTableMap:
     """Materialize the full truth table: entry j = apply(map, word j)."""
     n, m = map_.input_dim, map_.output_dim
-    size = 1 << n
-    if size > budget:
-        raise BudgetExceededError(size, budget, what="table entries")
-    values = np.zeros(size, dtype=np.uint64)
+    values = np.zeros(table_size(n), dtype=np.uint64)
     # entry j XORs in generator i iff bit n-1-i of j is set, as in apply()
     half = 1
     for g in reversed(map_.generators):
@@ -210,7 +213,7 @@ def serialize_truth_table(map_: TruthTableMap) -> str:
 def parse_truth_table(text: str) -> TruthTableMap:
     lines = _split_lines(text)
     n, m = _parse_header(lines[0])
-    size = 1 << n
+    size = table_size(n)
     if len(lines) != size + 1:
         raise ValueError(
             f"expected {size} entries after header, got {len(lines) - 1}"
@@ -254,10 +257,11 @@ def _split_lines(text: str) -> list[str]:
 
 def _parse_header(line: str) -> tuple[int, int]:
     parts = line.split(" ")
-    if len(parts) != 2:
-        raise ValueError(f"bad header line: {line!r}")
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = map(int, parts)
+        # int() also reads "+2", "02", "0_2" and Arabic-Indic digits
+        if [str(n), str(m)] != parts:
+            raise ValueError
     except ValueError:
         raise ValueError(f"bad header line: {line!r}") from None
     # the cap also keeps 1 << n from exhausting memory on a huge header

@@ -22,6 +22,7 @@ from dispdiff import (
 )
 
 import naive
+from peakmem import peak_below
 
 
 def W(s: str) -> BitWord:
@@ -66,6 +67,11 @@ class TestBitWord:
         assert str(BitWord.unit(4, 4)) == "0001"
         with pytest.raises(ValueError):
             BitWord.unit(4, 5)
+
+    @pytest.mark.parametrize("make", [lambda w: BitWord.unit(w, 1), BitWord.ones])
+    def test_huge_width_rejected_before_shifting(self, make):
+        with peak_below(), pytest.raises(ValueError, match="width must be in 1..64"):
+            make(10**9)
 
 
 class TestXor:

@@ -3,6 +3,8 @@ import pytest
 from dispdiff import g_table, serialize_truth_table
 from dispdiff.cli import main
 
+from peakmem import peak_below
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -181,6 +183,15 @@ class TestExplore:
         lines = stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("n, k", [("-1", "99"), ("2", "0")])
+    def test_invalid_n_k_with_no_width_searched(self, capsys, n, k):
+        code, stdout, stderr = run(
+            capsys, "explore", "--n", n, "--k", k, "--m-max", "0"
+        )
+        assert code == 1 and stdout == ""
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_reproduces_min_dim(self, capsys):
         code, stdout, _ = run(
             capsys, "explore", "--n", "3", "--k", "1", "--m-max", "8"
@@ -219,6 +230,28 @@ class TestContract:
         assert code == 1 and stdout == ""
         lines = stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diffusive", "--n", "4000000000"],
+            ["dispersive", "--n", "2", "--m", "4000000000"],
+            ["column-diffusive", "--n", "4000000002"],
+        ],
+    )
+    def test_huge_construct_is_one_error_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "huge"
+        with peak_below():
+            code, stdout, stderr = run(capsys, "construct", *argv, "--out", str(out))
+        assert code == 1 and stdout == "" and not out.exists()
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_construct_takes_no_budget(self, tmp_path, capsys):
+        out = tmp_path / "g3.tt"
+        argv = ["construct", "diffusive", "--n", "3", "--out", str(out)]
+        assert run(capsys, *argv, "--budget", "8")[0] == 1
+        assert not out.exists()
 
     def test_file_roundtrip_byte_identical(self, tmp_path, capsys):
         from dispdiff import parse_map_file, serialize_generator_matrix

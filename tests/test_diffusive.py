@@ -22,6 +22,7 @@ from dispdiff import (
 )
 
 import naive
+from peakmem import peak_below
 
 G3_GOLDEN = ["000", "001", "110", "111", "010", "100", "011", "101"]
 
@@ -83,6 +84,11 @@ class TestGTable:
             table = g_table(n)
             for j in range(1 << n):
                 assert table.table[j] == g_eval(n, BitWord(n, j))
+
+    @pytest.mark.parametrize("n", [29, 4_000_000_000])
+    def test_table_cap(self, n):
+        with peak_below(), pytest.raises(ValueError, match=f"n={n} .* 2\\^28"):
+            g_table(n)
 
 
 class TestVerifyDiffusive:

@@ -236,6 +236,13 @@ class TestMinLinearDim:
         with pytest.raises(BudgetExceededError):
             min_linear_dim_k(3, 3, 8, budget=2)
 
+    @pytest.mark.parametrize(
+        "n, k, match", [(-1, 99, "n must be >= 1"), (2, 3, "k must be in 1..2")]
+    )
+    def test_validates_n_and_k_with_no_width_searched(self, n, k, match):
+        with pytest.raises(ValueError, match=match):
+            min_linear_dim_k(n, k, 0)
+
 
 def _brute_force_first_witness(n, k, m):
     """Lexicographically-first n-tuple over all of F2^m that is linear

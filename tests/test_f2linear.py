@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from dispdiff import (
     BitWord,
-    BudgetExceededError,
     LinearMap,
     TruthTableMap,
     apply,
@@ -23,7 +22,10 @@ from dispdiff import (
     xor,
 )
 
+from dispdiff.f2linear import MAX_TABLE_BITS, table_size
+
 import naive
+from peakmem import peak_below
 
 
 def lin(rows: list[str]) -> LinearMap:
@@ -191,9 +193,13 @@ class TestTabulate:
             mp = random_map(rng, n, rng.randint(1, 8))
             assert tabulate(mp).is_injective() == (rank(mp.generators) == n)
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            tabulate(identity_map(8), budget=100)
+    def test_table_cap(self):
+        assert table_size(MAX_TABLE_BITS) == 1 << 28
+        big = identity_map(MAX_TABLE_BITS + 1)
+        with peak_below(), pytest.raises(ValueError, match=r"n=29 .* 2\^28 entries"):
+            tabulate(big)
+        with pytest.raises(ValueError, match=r"n=29 .* 2\^28 entries"):
+            parse_truth_table("29 1\n" + "0" * 29 + " 1\n")
 
 
 class TestTruthTableMap:

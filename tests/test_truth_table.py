@@ -196,6 +196,17 @@ class TestParseMapFile:
         with pytest.raises(ValueError, match="not a binary word"):
             parse_map_file(f"1 3\n0 {word}\n1 101\n")
 
+    @pytest.mark.parametrize("field", ["+2", "02", "0_2", "\u0662"])
+    @pytest.mark.parametrize(
+        "header, rows",
+        [("{} 3", "00 101\n01 011\n10 110\n11 000\n"), ("1 {}", "0 10\n1 01\n")],
+        ids=["n", "m"],
+    )
+    def test_header_fields_int_would_accept_are_rejected(self, field, header, rows):
+        parse_map_file(f"{header.format(2)}\n{rows}")  # valid when canonical
+        with pytest.raises(ValueError, match="bad header line"):
+            parse_map_file(f"{header.format(field)}\n{rows}")
+
     @given(header_ints, header_ints, rows_st, st.booleans())
     def test_returns_a_map_or_raises_value_error(self, n, m, rows, newline):
         text = "\n".join([f"{n} {m}", *rows]) + ("\n" if newline else "")
