@@ -1,15 +1,16 @@
 """Vectorized pair-space scans shared by the verifiers.
 
-Every unordered pair {x, y} at distance 1..k is x paired with x ^ d for
-some XOR pattern d, counted once at the element whose bit under d's
-highest set position is 0 (the smaller of the two).  For each pattern that
-is exactly half the space, so a scan is a loop over patterns with a mask
-on x.  All accumulation is exact integer arithmetic.
+Every unordered pair at distance 1..k is {x, x ^ d} for an XOR pattern d
+with top bit t, counted once at the x whose bit t is 0.  Those x are the
+first half of each 2^(t+1)-entry block of the table and their partners
+the second half, permuted within the block by d's lower bits, so
+`_pair_diffs` reads a pattern's pairs from two views of the table with no
+x-index array.  All accumulation is exact integer arithmetic.
 
-Work is partitioned over contiguous x-ranges; partial sums add exactly
-and the first violation is the minimum of chunk minima under the
-(x, pattern index) enumeration order, so results are identical for any
-worker count.
+Workers split the pattern list into contiguous runs and scan each pattern
+whole; partial sums add exactly and the first violation is the minimum of
+the per-worker (x, pattern index) minima, so results are identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -48,11 +49,16 @@ def _run_chunked(
         return list(pool.map(lambda r: fn(*r), ranges))
 
 
-def _masked_xs(lo: int, hi: int, d: int) -> np.ndarray:
-    """x in [lo, hi) whose bit at d's top position is 0 (so x < x ^ d)."""
-    xs = np.arange(lo, hi, dtype=np.uint64)
-    top = np.uint64(d.bit_length() - 1)
-    return xs[(xs >> top) & np.uint64(1) == 0]
+def _pair_diffs(values: np.ndarray, d: int) -> np.ndarray:
+    """values[x] ^ values[x ^ d] for each x whose bit at d's top position
+    t is 0, ascending: entry i belongs to x = i + (i >> t << t)."""
+    t = d.bit_length() - 1
+    blocks = values.reshape(-1, 2, 1 << t)
+    partners = blocks[:, 1, :]
+    low = d ^ (1 << t)
+    if low:
+        partners = partners[:, np.arange(1 << t) ^ low]
+    return (blocks[:, 0, :] ^ partners).ravel()
 
 
 def bit_sums(
@@ -69,17 +75,14 @@ def bit_sums(
 
     def scan(lo: int, hi: int) -> np.ndarray:
         sums = np.zeros(m, dtype=np.int64)
-        for d in patterns:
-            xs = _masked_xs(lo, hi, d)
-            if xs.size == 0:
-                continue
-            diffs = values[xs] ^ values[xs ^ np.uint64(d)]
+        for d in patterns[lo:hi]:
+            diffs = _pair_diffs(values, d)
             for b in range(m):
                 sums[b] += np.count_nonzero(diffs & np.uint64(1 << b))
         return sums
 
     total = np.zeros(m, dtype=np.int64)
-    for part in _run_chunked(scan, len(values), threads):
+    for part in _run_chunked(scan, len(patterns), threads):
         total += part
     # integer bit b holds word index m - b
     return [int(total[m - i]) for i in range(1, m + 1)]
@@ -94,25 +97,20 @@ def first_distance_violation(
     """First pair (by x, then pattern order) whose output distance is not
     m/2. Returns (x, d, output_distance) or None."""
 
-    def scan(lo: int, hi: int) -> tuple[int, int] | None:
-        best: tuple[int, int] | None = None
-        for d_idx, d in enumerate(patterns):
-            xs = _masked_xs(lo, hi, d)
-            if xs.size == 0:
-                continue
-            diffs = values[xs] ^ values[xs ^ np.uint64(d)]
-            dist2 = np.bitwise_count(diffs).astype(np.int64) * 2
-            bad = np.nonzero(dist2 != m)[0]
+    def scan(lo: int, hi: int) -> tuple[int, int, int] | None:
+        firsts = []
+        for d_idx, d in enumerate(patterns[lo:hi], start=lo):
+            # uint8 counts of at most 64, so doubling them cannot wrap
+            dists = np.bitwise_count(_pair_diffs(values, d))
+            bad = np.flatnonzero(dists * 2 != m)
             if bad.size:
-                cand = (int(xs[bad[0]]), d_idx)
-                if best is None or cand < best:
-                    best = cand
-        return best
+                i = int(bad[0])
+                t = d.bit_length() - 1
+                firsts.append((i + (i >> t << t), d_idx, int(dists[i])))
+        return min(firsts, default=None)
 
-    found = [b for b in _run_chunked(scan, len(values), threads) if b is not None]
+    found = [b for b in _run_chunked(scan, len(patterns), threads) if b is not None]
     if not found:
         return None
-    x, d_idx = min(found)
-    d = patterns[d_idx]
-    dist = int(values[x] ^ values[x ^ d]).bit_count()
-    return x, d, dist
+    x, d_idx, dist = min(found)
+    return x, patterns[d_idx], dist

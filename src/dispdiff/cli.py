@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bitword import DEFAULT_PAIR_BUDGET, BitWord, PairSpec
+from .bitword import DEFAULT_PAIR_BUDGET, BitWord, BudgetExceededError, PairSpec
 from .dispersive import build_dispersive, format_dispersion_report
 from .diffusive import column_diffusive, format_diffusion_report, g_table
 from .explorer import (
@@ -139,12 +139,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
             sys.stdout.write(serialize_generator_matrix(outcome.witness))
             return 0
         if not outcome.exhausted:
-            print(
-                f"error: search budget exhausted at m={m} after "
-                f"{outcome.candidates_examined} candidates",
-                file=sys.stderr,
+            raise BudgetExceededError(
+                outcome.candidates_examined, args.budget, what=f"candidates at m={m}"
             )
-            return 1
     print(f"EXHAUSTED {total} candidates")
     return 2
 

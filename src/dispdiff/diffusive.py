@@ -180,8 +180,8 @@ def decompose_sums(n: int, i: int) -> DecomposedSums:
     patterns = flip_patterns(n - 1)
     p = _scan.bit_sums(values[:half], n, patterns)[i - 1]
     q = _scan.bit_sums(values[half:], n, patterns)[i - 1]
-    cross = values[:half] ^ values[half:]
-    r = int(np.count_nonzero(cross & np.uint64(1 << (n - i))))
+    # the cross pairs are exactly the top-bit pattern
+    r = _scan.bit_sums(values, n, [half])[i - 1]
     return DecomposedSums(p, q, r, p + q + r)
 
 

@@ -97,6 +97,30 @@ def build_dispersive(n: int, target_m: int | None = None) -> LinearMap:
     return LinearMap(n, m, tuple(gens[:n]))
 
 
+def _dispersion_report(
+    n: int,
+    m: int,
+    injective: bool,
+    violation: tuple[int, int, int] | None,
+    pairs_checked: int,
+) -> DispersionReport:
+    """The report for a map whose first failing pair, if any, is x and
+    x ^ d at output distance dist, given as violation = (x, d, dist)."""
+    pair = dist = None
+    if violation is not None:
+        x, d, dist = violation
+        pair = (BitWord(n, x), BitWord(n, x ^ d))
+    even = m % 2 == 0
+    return DispersionReport(
+        passed=even and injective and violation is None,
+        output_dim_even=even,
+        injective=injective,
+        first_violation=pair,
+        violation_distance=dist,
+        pairs_checked=pairs_checked,
+    )
+
+
 def verify_dispersive(
     table: TruthTableMap,
     k: int = 1,
@@ -121,20 +145,7 @@ def verify_dispersive(
     viol = _scan.first_distance_violation(
         values, m, diff_patterns(n, k), threads=threads
     )
-    pair = None
-    dist = None
-    if viol is not None:
-        x, d, dist = viol
-        pair = (BitWord(n, x), BitWord(n, x ^ d))
-    passed = m % 2 == 0 and injective and viol is None
-    return DispersionReport(
-        passed=passed,
-        output_dim_even=m % 2 == 0,
-        injective=injective,
-        first_violation=pair,
-        violation_distance=dist,
-        pairs_checked=npairs,
-    )
+    return _dispersion_report(n, m, injective, viol, npairs)
 
 
 def verify_dispersive_linear(map_: LinearMap) -> DispersionReport:
@@ -147,22 +158,12 @@ def verify_dispersive_linear(map_: LinearMap) -> DispersionReport:
     """
     n, m = map_.input_dim, map_.output_dim
     injective = rank(map_.generators) == n
-    pair = None
-    dist = None
+    viol = None
     for i, g in enumerate(map_.generators, start=1):
         if 2 * weight(g) != m:
-            pair = (BitWord.zeros(n), BitWord.unit(n, i))
-            dist = weight(g)
+            viol = (0, 1 << (n - i), weight(g))
             break
-    passed = m % 2 == 0 and injective and pair is None
-    return DispersionReport(
-        passed=passed,
-        output_dim_even=m % 2 == 0,
-        injective=injective,
-        first_violation=pair,
-        violation_distance=dist,
-        pairs_checked=0,
-    )
+    return _dispersion_report(n, m, injective, viol, 0)
 
 
 def normalize_to_zero(table: TruthTableMap) -> TruthTableMap:

@@ -194,13 +194,7 @@ def parse_generator_matrix(text: str) -> LinearMap:
     n, m = _parse_header(lines[0])
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows after header, got {len(lines) - 1}")
-    gens = []
-    for row in lines[1:]:
-        w = BitWord.parse(row)
-        if w.width != m:
-            raise ValueError(f"row width {w.width} != {m}")
-        gens.append(w)
-    return LinearMap(n, m, tuple(gens))
+    return LinearMap(n, m, tuple(BitWord.parse(row) for row in lines[1:]))
 
 
 def serialize_truth_table(map_: TruthTableMap) -> str:
