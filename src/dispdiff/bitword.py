@@ -221,23 +221,19 @@ def enumerate_pairs(
     spec: PairSpec,
     *,
     budget: int = DEFAULT_PAIR_BUDGET,
-    x_range: tuple[int, int] | None = None,
 ) -> Iterator[tuple[BitWord, BitWord]]:
     """Yield each unordered pair {x, y} with 1 <= distance <= k exactly once.
 
     Deterministic order: the smaller element x ascending, then XOR patterns
-    in the diff_patterns order. A pair is emitted at its smaller element,
-    so restricting ``x_range`` to [lo, hi) partitions the space into
-    disjoint chunks that cover it exactly. More pairs in the whole space
-    than ``budget`` raise BudgetExceededError.
+    in the diff_patterns order. More pairs in the whole space than
+    ``budget`` raise BudgetExceededError.
     """
     total = pair_count(spec)
     if total > budget:
         raise BudgetExceededError(total, budget)
     n = spec.n
-    lo, hi = x_range if x_range is not None else (0, 1 << n)
     patterns = diff_patterns(n, spec.k)
-    for xv in range(lo, hi):
+    for xv in range(1 << n):
         for d in patterns:
             yv = xv ^ d
             if xv < yv:

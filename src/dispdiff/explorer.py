@@ -12,14 +12,17 @@ is astronomically larger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bitword import DEFAULT_PAIR_BUDGET, BitWord, BudgetExceededError, PairSpec
-from .dispersive import DispersionReport, verify_dispersive
+from .dispersive import DispersionReport, min_output_dim, verify_dispersive
 from .diffusive import DiffusionReport, verify_diffusive
+# The search ranks nothing; _rank_ints stays bound here only because
+# perfbench/tracing.py wraps it and tests/test_bench_bindings.py checks that.
 from .f2linear import LinearMap, TruthTableMap, _rank_ints, _reduce
 
-# Enumerating candidate generators walks all of F2^m once; beyond this
-# width the candidate list itself is out of desk range.
+# Each search depth streams up to C(m, m/2) candidates (10.4M at m = 26),
+# so this cap bounds time; search memory does not grow with m.
 MAX_SEARCH_WIDTH = 26
 
 
@@ -53,6 +56,18 @@ def verify_k_diffusive(
     return verify_diffusive(table, k, budget=budget, threads=threads)
 
 
+def _semi_weight_words(m: int) -> Iterator[int]:
+    """Weight-m/2 words of F2^m, ascending (Gosper's hack: carry the lowest
+    run of ones one place up and drop the rest of that run to the bottom)."""
+    v = (1 << m // 2) - 1
+    top = 1 << m
+    while v < top:
+        yield v
+        low = v & -v
+        carried = v + low
+        v = carried | ((carried ^ v) >> 2) // low
+
+
 def search_linear_k_dispersive(
     n: int,
     k: int,
@@ -63,17 +78,13 @@ def search_linear_k_dispersive(
     """Scan generator n-tuples over F2^m for a linear k-dispersive map.
 
     Candidates per position are the weight-m/2 vectors in ascending
-    integer order; a partial tuple survives only while every XOR of up to
-    k of its generators is again semi-weight and the generators are
-    independent. The first witness in this order is returned, so results
-    are reproducible. ``budget`` caps the number of candidate vectors
-    tested; hitting it returns exhausted=False.
-
-    Two sound short-circuits keep hopeless spaces fast: fewer output than
-    input dimensions can never be injective, and if the span of all
-    semi-weight vectors has dimension below n no independent n-tuple can
-    exist inside it (for m/2 even they all lie in the even-weight
-    hyperplane).
+    integer order, streamed one at a time; a partial tuple survives only
+    while every XOR of up to k of its generators is again semi-weight and
+    the generators are independent. The first witness in this order is
+    returned, so results are reproducible. ``budget`` caps the candidate
+    vectors tested, and with them all the work and memory of the width;
+    hitting it returns exhausted=False. Below ``min_output_dim(n)`` the
+    dimension theorem rules out any dispersive map, so nothing is examined.
     """
     PairSpec(n, k)  # validates n and k
     if m < 2 or m % 2:
@@ -82,14 +93,10 @@ def search_linear_k_dispersive(
         raise ValueError(
             f"m={m} beyond search width cap {MAX_SEARCH_WIDTH}"
         )
-    if m < n:
+    if m < min_output_dim(n):
         return SearchOutcome(False, None, 0, True)
 
     half = m // 2
-    semis = [v for v in range(1, 1 << m) if v.bit_count() == half]
-    if _rank_ints(semis) < n:
-        return SearchOutcome(False, None, 0, True)
-
     chosen: list[int] = []
     # XORs of the subsets of chosen with size <= k-1, grown incrementally;
     # a candidate v extends the tuple only if v ^ s is semi-weight for all
@@ -101,29 +108,31 @@ def search_linear_k_dispersive(
     def dfs() -> list[int] | None:
         nonlocal examined
         depth = len(chosen)
-        for v in semis:
+        for v in _semi_weight_words(m):
             examined += 1
             if examined > budget:
                 return None
-            if any((v ^ s).bit_count() != half for _, s in sub_xors):
-                continue
-            residue = _reduce(v, pivots)
-            if not residue:
-                continue
-            chosen.append(v)
-            added = [
-                (size + 1, s ^ v) for size, s in sub_xors if size + 1 <= k - 1
-            ]
-            sub_xors.extend(added)
-            pivots[residue.bit_length() - 1] = residue
-            if depth + 1 == n:
-                return list(chosen)
-            hit = dfs()
-            if hit is not None or examined > budget:
-                return hit
-            del pivots[residue.bit_length() - 1]
-            del sub_xors[len(sub_xors) - len(added):]
-            chosen.pop()
+            for _, s in sub_xors:
+                if (v ^ s).bit_count() != half:
+                    break
+            else:
+                residue = _reduce(v, pivots)
+                if not residue:
+                    continue
+                chosen.append(v)
+                added = [
+                    (size + 1, s ^ v) for size, s in sub_xors if size < k - 1
+                ]
+                sub_xors.extend(added)
+                pivots[residue.bit_length() - 1] = residue
+                if depth + 1 == n:
+                    return list(chosen)
+                hit = dfs()
+                if hit is not None or examined > budget:
+                    return hit
+                del pivots[residue.bit_length() - 1]
+                del sub_xors[len(sub_xors) - len(added):]
+                chosen.pop()
         return None
 
     witness_values = dfs()

@@ -304,20 +304,6 @@ class TestPairEnumeration:
         got_keys = {frozenset((str(x), str(y))) for x, y in got}
         assert got_keys == {frozenset(p) for p in expect}
 
-    def test_chunk_partition(self):
-        spec = PairSpec(5, 2)
-        full = [
-            (x.value, y.value) for x, y in enumerate_pairs(spec)
-        ]
-        bounds = [0, 7, 13, 32]
-        chunked = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            chunked.extend(
-                (x.value, y.value)
-                for x, y in enumerate_pairs(spec, x_range=(lo, hi))
-            )
-        assert chunked == full
-
     def test_budget_rejected(self):
         with pytest.raises(BudgetExceededError) as exc:
             list(enumerate_pairs(PairSpec(10, 1), budget=100))

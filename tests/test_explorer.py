@@ -22,8 +22,10 @@ from dispdiff import (
     verify_k_diffusive,
 )
 from dispdiff.bitword import diff_patterns
+from dispdiff.explorer import SearchOutcome, _semi_weight_words
 
 import naive
+from peakmem import peak_below
 
 
 def _random_table(rng, n, m):
@@ -208,6 +210,51 @@ class TestSearch:
         assert not outcome.exhausted
         assert outcome.candidates_examined == 3
 
+    @pytest.mark.parametrize(
+        "n, k, m, expected",
+        [
+            (3, 2, 6, (False, 420, True)),
+            (4, 3, 10, (False, 63756, True)),
+            (6, 2, 10, (False, 63756, True)),
+            (4, 2, 8, (True, 74, False)),
+            (7, 1, 8, (True, 68, False)),
+        ],
+    )
+    def test_recorded_outcomes(self, n, k, m, expected):
+        outcome = search_linear_k_dispersive(n, k, m)
+        got = (outcome.found, outcome.candidates_examined, outcome.exhausted)
+        assert got == expected
+        if outcome.found:
+            assert verify_k_dispersive(tabulate(outcome.witness), k).passed
+
+    def test_budget_bounds_a_whole_width(self):
+        # the candidates are streamed, so budget=1 at m=24 builds nothing
+        # of size C(24, 12) before it stops
+        with peak_below():
+            outcome = search_linear_k_dispersive(5, 3, 24, budget=1)
+        assert outcome.candidates_examined == 2
+        assert not outcome.found and not outcome.exhausted
+
+    @pytest.mark.parametrize("m", range(2, 17, 2))
+    def test_candidate_stream_is_ascending_semi_weight(self, m):
+        expected = [v for v in range(1 << m) if v.bit_count() == m // 2]
+        assert list(_semi_weight_words(m)) == expected
+
+    @pytest.mark.parametrize("m", range(2, 11, 2))
+    def test_dimension_check_matches_span_rule(self, m):
+        # an independent n-tuple of semi-weight words needs m >= n and
+        # the semi-weight words to span at least n dimensions
+        semis = [
+            format(v, f"0{m}b") for v in range(1 << m) if v.bit_count() == m // 2
+        ]
+        span = naive.rank_closure(semis)
+        for n in range(1, m + 3):
+            infeasible = m < n or span < n
+            assert (m < min_output_dim(n)) == infeasible
+            if infeasible:
+                outcome = search_linear_k_dispersive(n, 1, m)
+                assert outcome == SearchOutcome(False, None, 0, True)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             search_linear_k_dispersive(2, 1, 3)
@@ -228,6 +275,13 @@ class TestMinLinearDim:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_reproduces_dimension_table(self, n):
         assert min_linear_dim_k(n, 1, n + 4) == min_output_dim(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_k_equals_n_minimum_is_2_to_the_n(self, n):
+        # every nonzero XOR of the generators must be semi-weight, so the
+        # m columns of the generator matrix cover F2^n evenly and 2^n | m;
+        # n = 4 takes minutes and is left out
+        assert min_linear_dim_k(n, n, 2**n) == 2**n
 
     def test_none_when_out_of_range(self):
         assert min_linear_dim_k(2, 2, 2) is None
