@@ -27,7 +27,7 @@ from .f2linear import (
     rank,
     serialize_generator_matrix,
     serialize_truth_table,
-    tabulate,
+    tabulate,  # unused here; kept because perfbench/tracing.py wraps cli.tabulate
 )
 
 
@@ -116,12 +116,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
     map_ = parse_map_file(Path(args.map_file).read_text())
-    table = tabulate(map_) if isinstance(map_, LinearMap) else map_
     if args.property == "dispersive":
         verify, format_report = verify_k_dispersive, format_dispersion_report
     else:
         verify, format_report = verify_k_diffusive, format_diffusion_report
-    report = verify(table, args.k, budget=args.budget, threads=args.threads)
+    report = verify(map_, args.k, budget=args.budget, threads=args.threads)
     print(format_report(report))
     return 0 if report.passed else 1
 

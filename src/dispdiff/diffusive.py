@@ -30,7 +30,7 @@ from .bitword import (
     flip_patterns,
     pair_count,
 )
-from .f2linear import LinearMap, TruthTableMap, table_size, transpose
+from .f2linear import LinearMap, TruthTableMap, _images, rank, table_size, transpose
 from .dispersive import build_dispersive
 
 
@@ -85,7 +85,7 @@ def g_table(n: int) -> TruthTableMap:
 
 
 def verify_diffusive(
-    table: TruthTableMap,
+    map_: LinearMap | TruthTableMap,
     k: int = 1,
     *,
     budget: int = DEFAULT_PAIR_BUDGET,
@@ -96,8 +96,13 @@ def verify_diffusive(
     Passes iff the map is injective and every sum equals exactly half the
     pair count (n * 2^(n-2) for k = 1). All m output bits are checked,
     also when m > n. More pairs than ``budget`` raise BudgetExceededError.
+    A generator matrix is decided from its pattern images, with the report
+    and refusals of its table: the 2^(n-1) pairs of pattern d flip f(d).
     """
-    n, m = table.input_dim, table.output_dim
+    n, m = map_.input_dim, map_.output_dim
+    linear = isinstance(map_, LinearMap)
+    if linear:
+        table_size(n)
     npairs = pair_count(PairSpec(n, k))
     if n < 2:
         raise ValueError(
@@ -107,9 +112,16 @@ def verify_diffusive(
     if npairs > budget:
         raise BudgetExceededError(npairs, budget)
     target = npairs // 2
-    values = _scan.table_values(table)
-    sums = _scan.bit_sums(values, m, diff_patterns(n, k), threads=threads)
-    injective = table.is_injective()
+    patterns = diff_patterns(n, k)
+    if linear:
+        images = list(_images(map_, patterns))
+        counts = [sum(f >> (m - b) & 1 for f in images) for b in range(1, m + 1)]
+        sums = [c << (n - 1) for c in counts]
+        injective = rank(map_.generators) == n
+    else:
+        values = _scan.table_values(map_)
+        sums = _scan.bit_sums(values, m, patterns, threads=threads)
+        injective = map_.is_injective()
     passed = injective and all(s == target for s in sums)
     return DiffusionReport(
         passed=passed,

@@ -4,9 +4,9 @@ output bits.
 The minimum feasible output dimension for input width n is n+2, n+1, n,
 n+1 as n is 0, 1, 2, 3 mod 4.  The construction is linear: pick n
 independent generators of weight m/2, so a flip of input bit i XORs
-generator i into the output.  Verification is available both ways: an
-exhaustive scan of every input pair at distance 1..k (k = 1 is the
-single-flip property), and the rank/weight check that never enumerates.
+generator i into the output.  Pairs at distance 1..k (k = 1 is the
+single-flip property) are checked by an exhaustive scan of a truth table,
+or from the rank and pattern images of a generator matrix.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from .bitword import (
     BitWord,
     BudgetExceededError,
     PairSpec,
+    _check_width,
     diff_patterns,
+    flip_patterns,
     pair_count,
-    weight,
 )
-from .f2linear import LinearMap, TruthTableMap, rank, tabulate
+from .f2linear import LinearMap, TruthTableMap, _images, rank, table_size, tabulate
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,11 @@ def semi_weight_generators(k: int) -> list[BitWord]:
     """
     if k < 2 or k % 2:
         raise ValueError(f"k must be even and >= 2, got {k}")
+    _check_width(k)
     if k == 2:
         return [BitWord.unit(2, 1), BitWord.unit(2, 2)]
     half = k // 2
-    e = [BitWord.unit(k, i).value for i in range(1, k + 1)]
+    e = [1 << (k - i) for i in range(1, k + 1)]
     v = [0] * (k + 1)
     run = 0
     for j in range(1, half + 1):
@@ -121,30 +123,45 @@ def _dispersion_report(
     )
 
 
+def _linear_dispersion(
+    map_: LinearMap, patterns: list[int], npairs: int
+) -> DispersionReport:
+    """f(x) ^ f(x ^ d) = f(d), so the first failing pair of a linear map is
+    {0, d} for the first pattern d whose image is not of weight m/2."""
+    n, m = map_.input_dim, map_.output_dim
+    weights = (f.bit_count() for f in _images(map_, patterns))
+    viol = next(((0, d, w) for d, w in zip(patterns, weights) if 2 * w != m), None)
+    return _dispersion_report(n, m, rank(map_.generators) == n, viol, npairs)
+
+
 def verify_dispersive(
-    table: TruthTableMap,
+    map_: LinearMap | TruthTableMap,
     k: int = 1,
     *,
     budget: int = DEFAULT_PAIR_BUDGET,
     threads: int = 1,
 ) -> DispersionReport:
-    """Exhaustively check dispersion over every input pair at distance
-    1..k.
+    """Check dispersion over every input pair at distance 1..k.
 
     Passes iff the output dimension is even, the map is injective, and
     each pair lands at output distance exactly m/2. The first failing
     pair in (x, diff_patterns index) order is reported. More pairs than
-    ``budget`` raise BudgetExceededError.
+    ``budget`` raise BudgetExceededError. A generator matrix is decided
+    from its pattern images, with the report and refusals of its table.
     """
-    n, m = table.input_dim, table.output_dim
+    n, m = map_.input_dim, map_.output_dim
+    linear = isinstance(map_, LinearMap)
+    if linear:
+        table_size(n)
     npairs = pair_count(PairSpec(n, k))
     if npairs > budget:
         raise BudgetExceededError(npairs, budget)
-    values = _scan.table_values(table)
-    injective = table.is_injective()
-    viol = _scan.first_distance_violation(
-        values, m, diff_patterns(n, k), threads=threads
-    )
+    patterns = diff_patterns(n, k)
+    if linear:
+        return _linear_dispersion(map_, patterns, npairs)
+    values = _scan.table_values(map_)
+    injective = map_.is_injective()
+    viol = _scan.first_distance_violation(values, m, patterns, threads=threads)
     return _dispersion_report(n, m, injective, viol, npairs)
 
 
@@ -154,16 +171,10 @@ def verify_dispersive_linear(map_: LinearMap) -> DispersionReport:
     A linear map is dispersive iff its generators are independent (rank n,
     hence injective) and every generator has weight m/2 (a flip of input
     bit i changes the output by exactly generator i). A wrong-weight
-    generator i is reported as the violating pair {0, e_i}.
+    generator i is reported as the violating pair {0, e_i}. No budget
+    or table cap applies, and ``pairs_checked`` is 0.
     """
-    n, m = map_.input_dim, map_.output_dim
-    injective = rank(map_.generators) == n
-    viol = None
-    for i, g in enumerate(map_.generators, start=1):
-        if 2 * weight(g) != m:
-            viol = (0, 1 << (n - i), weight(g))
-            break
-    return _dispersion_report(n, m, injective, viol, 0)
+    return _linear_dispersion(map_, flip_patterns(map_.input_dim), 0)
 
 
 def normalize_to_zero(table: TruthTableMap) -> TruthTableMap:

@@ -35,25 +35,25 @@ class SearchOutcome:
 
 
 def verify_k_dispersive(
-    table: TruthTableMap,
+    map_: LinearMap | TruthTableMap,
     k: int,
     *,
     budget: int = DEFAULT_PAIR_BUDGET,
     threads: int = 1,
 ) -> DispersionReport:
     """verify_dispersive with k required; ``budget`` counts pairs."""
-    return verify_dispersive(table, k, budget=budget, threads=threads)
+    return verify_dispersive(map_, k, budget=budget, threads=threads)
 
 
 def verify_k_diffusive(
-    table: TruthTableMap,
+    map_: LinearMap | TruthTableMap,
     k: int,
     *,
     budget: int = DEFAULT_PAIR_BUDGET,
     threads: int = 1,
 ) -> DiffusionReport:
     """verify_diffusive with k required; ``budget`` counts pairs."""
-    return verify_diffusive(table, k, budget=budget, threads=threads)
+    return verify_diffusive(map_, k, budget=budget, threads=threads)
 
 
 def _semi_weight_words(m: int) -> Iterator[int]:

@@ -9,6 +9,7 @@ GF(2) decides injectivity.  The module also owns the two on-disk formats
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -94,13 +95,20 @@ def apply(map_: LinearMap, x: BitWord) -> BitWord:
     """Image of x: XOR of the generators at the set bits of x."""
     if x.width != map_.input_dim:
         raise ValueError(f"width mismatch: {x.width} != {map_.input_dim}")
+    return BitWord(map_.output_dim, next(_images(map_, [x.value])))
+
+
+def _images(map_: LinearMap, xs: Iterable[int]) -> Iterator[int]:
+    """The image of each input value in xs, as an int, one at a time."""
     n = map_.input_dim
-    acc = 0
-    xv = x.value
-    for i in range(n):
-        if (xv >> (n - 1 - i)) & 1:
-            acc ^= map_.generators[i].value
-    return BitWord(map_.output_dim, acc)
+    gen_at = {1 << (n - i): g.value for i, g in enumerate(map_.generators, start=1)}
+    for x in xs:
+        acc = 0
+        while x:
+            low = x & -x
+            acc ^= gen_at[low]
+            x ^= low
+        yield acc
 
 
 def rank(rows: list[BitWord] | tuple[BitWord, ...]) -> int:
@@ -231,19 +239,20 @@ def parse_truth_table(text: str) -> TruthTableMap:
 
 
 def parse_map_file(text: str) -> LinearMap | TruthTableMap:
-    """Sniff the format: table lines carry two fields, matrix rows one."""
-    lines = _split_lines(text)
-    if len(lines) < 2:
+    """Sniff the format from line 2: table lines carry two fields, matrix rows one."""
+    # [:2] drops the rest of the text before the chosen parser splits it
+    head = _split_lines(text, 2)[:2]
+    if len(head) < 2:
         raise ValueError("map file needs a header and at least one row")
-    if " " in lines[1]:
+    if " " in head[1]:
         return parse_truth_table(text)
     return parse_generator_matrix(text)
 
 
-def _split_lines(text: str) -> list[str]:
+def _split_lines(text: str, maxsplit: int = -1) -> list[str]:
     if not text.endswith("\n"):
         raise ValueError("map file must end with a newline")
-    lines = text[:-1].split("\n")
+    lines = text[:-1].split("\n", maxsplit)
     if not lines or not lines[0]:
         raise ValueError("empty map file")
     return lines
