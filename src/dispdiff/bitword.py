@@ -214,7 +214,20 @@ def diff_patterns(n: int, k: int) -> list[int]:
     """
     if k == 1:
         return flip_patterns(n)
-    return [d for d in range(1, 1 << n) if d.bit_count() <= k]
+    return sorted(d for w in range(1, k + 1) for d in _weight_words(n, w))
+
+
+def _weight_words(width: int, w: int) -> Iterator[int]:
+    """Weight-w words of the given width (w >= 1), ascending (Gosper's
+    hack: carry the lowest run of ones one place up and drop the rest of
+    that run to the bottom)."""
+    v = (1 << w) - 1
+    top = 1 << width
+    while v < top:
+        yield v
+        low = v & -v
+        carried = v + low
+        v = carried | ((carried ^ v) >> 2) // low
 
 
 def enumerate_pairs(

@@ -19,18 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _scan
-from .bitword import (
-    DEFAULT_PAIR_BUDGET,
-    MAX_WIDTH,
-    BitWord,
-    BudgetExceededError,
-    PairSpec,
-    _sigma_int,
-    diff_patterns,
-    flip_patterns,
-    pair_count,
-)
-from .f2linear import LinearMap, TruthTableMap, _images, rank, table_size, transpose
+from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, _sigma_int, flip_patterns
+from .f2linear import LinearMap, TruthTableMap, _images, table_size, transpose
 from .dispersive import build_dispersive
 
 
@@ -100,28 +90,21 @@ def verify_diffusive(
     and refusals of its table: the 2^(n-1) pairs of pattern d flip f(d).
     """
     n, m = map_.input_dim, map_.output_dim
-    linear = isinstance(map_, LinearMap)
-    if linear:
-        table_size(n)
-    npairs = pair_count(PairSpec(n, k))
     if n < 2:
         raise ValueError(
             "no diffusive map exists on 1-bit inputs: the required per-bit "
             "sum n * 2^(n-2) is not an integer"
         )
-    if npairs > budget:
-        raise BudgetExceededError(npairs, budget)
+    npairs, patterns = _scan.pair_space(map_, k, budget)
     target = npairs // 2
-    patterns = diff_patterns(n, k)
-    if linear:
+    if isinstance(map_, LinearMap):
         images = list(_images(map_, patterns))
         counts = [sum(f >> (m - b) & 1 for f in images) for b in range(1, m + 1)]
         sums = [c << (n - 1) for c in counts]
-        injective = rank(map_.generators) == n
     else:
         values = _scan.table_values(map_)
         sums = _scan.bit_sums(values, m, patterns, threads=threads)
-        injective = map_.is_injective()
+    injective = map_.is_injective()
     passed = injective and all(s == target for s in sums)
     return DiffusionReport(
         passed=passed,

@@ -16,17 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _scan
-from .bitword import (
-    DEFAULT_PAIR_BUDGET,
-    BitWord,
-    BudgetExceededError,
-    PairSpec,
-    _check_width,
-    diff_patterns,
-    flip_patterns,
-    pair_count,
-)
-from .f2linear import LinearMap, TruthTableMap, _images, rank, table_size, tabulate
+from .bitword import DEFAULT_PAIR_BUDGET, BitWord, _check_width, flip_patterns
+from .f2linear import LinearMap, TruthTableMap, _images, tabulate
 
 
 @dataclass(frozen=True)
@@ -100,9 +91,7 @@ def build_dispersive(n: int, target_m: int | None = None) -> LinearMap:
 
 
 def _dispersion_report(
-    n: int,
-    m: int,
-    injective: bool,
+    map_: LinearMap | TruthTableMap,
     violation: tuple[int, int, int] | None,
     pairs_checked: int,
 ) -> DispersionReport:
@@ -111,8 +100,9 @@ def _dispersion_report(
     pair = dist = None
     if violation is not None:
         x, d, dist = violation
-        pair = (BitWord(n, x), BitWord(n, x ^ d))
-    even = m % 2 == 0
+        pair = (BitWord(map_.input_dim, x), BitWord(map_.input_dim, x ^ d))
+    even = map_.output_dim % 2 == 0
+    injective = map_.is_injective()
     return DispersionReport(
         passed=even and injective and violation is None,
         output_dim_even=even,
@@ -123,15 +113,14 @@ def _dispersion_report(
     )
 
 
-def _linear_dispersion(
-    map_: LinearMap, patterns: list[int], npairs: int
-) -> DispersionReport:
+def _linear_violation(
+    map_: LinearMap, patterns: list[int]
+) -> tuple[int, int, int] | None:
     """f(x) ^ f(x ^ d) = f(d), so the first failing pair of a linear map is
     {0, d} for the first pattern d whose image is not of weight m/2."""
-    n, m = map_.input_dim, map_.output_dim
+    m = map_.output_dim
     weights = (f.bit_count() for f in _images(map_, patterns))
-    viol = next(((0, d, w) for d, w in zip(patterns, weights) if 2 * w != m), None)
-    return _dispersion_report(n, m, rank(map_.generators) == n, viol, npairs)
+    return next(((0, d, w) for d, w in zip(patterns, weights) if 2 * w != m), None)
 
 
 def verify_dispersive(
@@ -149,20 +138,15 @@ def verify_dispersive(
     ``budget`` raise BudgetExceededError. A generator matrix is decided
     from its pattern images, with the report and refusals of its table.
     """
-    n, m = map_.input_dim, map_.output_dim
-    linear = isinstance(map_, LinearMap)
-    if linear:
-        table_size(n)
-    npairs = pair_count(PairSpec(n, k))
-    if npairs > budget:
-        raise BudgetExceededError(npairs, budget)
-    patterns = diff_patterns(n, k)
-    if linear:
-        return _linear_dispersion(map_, patterns, npairs)
-    values = _scan.table_values(map_)
-    injective = map_.is_injective()
-    viol = _scan.first_distance_violation(values, m, patterns, threads=threads)
-    return _dispersion_report(n, m, injective, viol, npairs)
+    npairs, patterns = _scan.pair_space(map_, k, budget)
+    if isinstance(map_, LinearMap):
+        viol = _linear_violation(map_, patterns)
+    else:
+        values = _scan.table_values(map_)
+        viol = _scan.first_distance_violation(
+            values, map_.output_dim, patterns, threads=threads
+        )
+    return _dispersion_report(map_, viol, npairs)
 
 
 def verify_dispersive_linear(map_: LinearMap) -> DispersionReport:
@@ -174,7 +158,8 @@ def verify_dispersive_linear(map_: LinearMap) -> DispersionReport:
     generator i is reported as the violating pair {0, e_i}. No budget
     or table cap applies, and ``pairs_checked`` is 0.
     """
-    return _linear_dispersion(map_, flip_patterns(map_.input_dim), 0)
+    viol = _linear_violation(map_, flip_patterns(map_.input_dim))
+    return _dispersion_report(map_, viol, 0)
 
 
 def normalize_to_zero(table: TruthTableMap) -> TruthTableMap:

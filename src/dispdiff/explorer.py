@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bitword import DEFAULT_PAIR_BUDGET, BitWord, BudgetExceededError, PairSpec
+from .bitword import (
+    DEFAULT_PAIR_BUDGET,
+    BitWord,
+    BudgetExceededError,
+    PairSpec,
+    _weight_words,
+)
 from .dispersive import DispersionReport, min_output_dim, verify_dispersive
 from .diffusive import DiffusionReport, verify_diffusive
 # The search ranks nothing; _rank_ints stays bound here only because
@@ -57,15 +63,8 @@ def verify_k_diffusive(
 
 
 def _semi_weight_words(m: int) -> Iterator[int]:
-    """Weight-m/2 words of F2^m, ascending (Gosper's hack: carry the lowest
-    run of ones one place up and drop the rest of that run to the bottom)."""
-    v = (1 << m // 2) - 1
-    top = 1 << m
-    while v < top:
-        yield v
-        low = v & -v
-        carried = v + low
-        v = carried | ((carried ^ v) >> 2) // low
+    """Weight-m/2 words of F2^m, ascending."""
+    return _weight_words(m, m // 2)
 
 
 def search_linear_k_dispersive(

@@ -38,6 +38,10 @@ class LinearMap:
                     f"generator width {g.width} != output dim {self.output_dim}"
                 )
 
+    def is_injective(self) -> bool:
+        # a linear map is injective iff its generators are independent
+        return rank(self.generators) == self.input_dim
+
 
 @dataclass(frozen=True, eq=False)
 class TruthTableMap:

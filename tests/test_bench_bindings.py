@@ -6,6 +6,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from dispdiff.dispersive import build_dispersive
+from dispdiff.f2linear import serialize_generator_matrix, serialize_truth_table, tabulate
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -25,3 +28,24 @@ def test_every_wrapped_binding_exists():
     assert wrapped
     for owner, attr, _ in wrapped:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+
+
+def test_every_wrapped_layer_is_called(tmp_path, capsys):
+    # a call that bypasses a wrapped binding drops its layer from the trace
+    tracing = _load_tracing()
+    g5, f5_table, f5_matrix = (tmp_path / n for n in ("g5.tt", "f5.tt", "f5.gm"))
+    f5_table.write_text(serialize_truth_table(tabulate(build_dispersive(5))))
+    f5_matrix.write_text(serialize_generator_matrix(build_dispersive(5)))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        tracer.main(["construct", "diffusive", "--n", "5", "--out", str(g5)])
+        tracer.main(["verify", "diffusive", str(g5), "--k", "2"])
+        tracer.main(["verify", "dispersive", str(f5_table), "--k", "2"])
+        tracer.main(["verify", "dispersive", str(f5_matrix), "--k", "2"])
+        tracer.main(["explore", "--n", "2", "--k", "2", "--m-max", "4"])
+    capsys.readouterr()
+    called = {s.name for s in tracer.spans} - {"cli"}
+    # layers the library no longer calls: verify decides a matrix without
+    # its table, and the search ranks nothing
+    unused = {"f2linear.tabulate", "f2linear.rank"}
+    assert called == {layer for _, _, layer in tracing.WRAPPED} - unused

@@ -1,0 +1,83 @@
+"""Both verifiers take their pair set from one place: the refusals in
+their fixed order, the pair count and the patterns, for a truth table
+and a generator matrix alike."""
+
+import numpy as np
+import pytest
+
+from dispdiff import (
+    BitWord,
+    LinearMap,
+    TruthTableMap,
+    build_dispersive,
+    column_diffusive,
+    parse_map_file,
+    tabulate,
+    verify_diffusive,
+    verify_dispersive,
+)
+from dispdiff.bitword import diff_patterns
+
+from peakmem import peak_below
+
+CAP = "a table on n=40 inputs exceeds the cap of 2^28 entries"
+K_RANGE = "k must be in 1..6, got 7"
+BUDGET = "enumeration of 192 pairs exceeds budget 4"
+ONE_BIT = (
+    "no diffusive map exists on 1-bit inputs: the required per-bit "
+    "sum n * 2^(n-2) is not an integer"
+)
+
+WIDE = parse_map_file("40 2\n" + "10\n" * 40)
+F6 = build_dispersive(6)
+ONE_INPUT = [
+    TruthTableMap(1, 1, np.array([0, 1], dtype=np.uint64)),
+    LinearMap(1, 1, (BitWord(1, 1),)),
+]
+
+
+def _refusal(verify, map_, k, budget):
+    with pytest.raises(ValueError) as info:
+        verify(map_, k, budget=budget)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("verify", [verify_dispersive, verify_diffusive])
+def test_refusal_order(verify):
+    # the table cap before k, k before the budget
+    assert _refusal(verify, WIDE, 99, 0) == CAP
+    for map_ in (F6, tabulate(F6)):
+        assert _refusal(verify, map_, 7, 0) == K_RANGE
+        assert _refusal(verify, map_, 1, 4) == BUDGET
+
+
+@pytest.mark.parametrize("map_", ONE_INPUT, ids=["table", "matrix"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_one_bit_diffusion_is_refused_before_k(map_, k):
+    assert _refusal(verify_diffusive, map_, k, 0) == ONE_BIT
+
+
+@pytest.mark.parametrize("verify", [verify_dispersive, verify_diffusive])
+def test_cap_is_refused_before_patterns_are_listed(verify):
+    # 2^40 patterns at k = n, were they listed
+    with peak_below():
+        assert _refusal(verify, WIDE, 40, 1 << 200) == CAP
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_diff_patterns_match_the_weight_filter(n):
+    for k in range(2, n + 2):
+        expected = [d for d in range(1, 1 << n) if d.bit_count() <= k]
+        assert diff_patterns(n, k) == expected
+
+
+def test_matrices_at_the_cap_for_k_above_one():
+    disp = verify_dispersive(build_dispersive(28), 2, budget=1 << 60)
+    assert disp.first_violation == (BitWord(28, 0), BitWord(28, 3))
+    assert disp.violation_distance == 2
+    assert disp.pairs_checked == 54492397568
+    assert not disp.passed and disp.injective
+    diff = verify_diffusive(column_diffusive(26), 3, budget=1 << 60)
+    assert diff.per_bit_sums == (49727668224,) * 26
+    assert diff.target == 49509564416
+    assert not diff.passed and diff.injective
