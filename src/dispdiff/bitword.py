@@ -217,17 +217,23 @@ def diff_patterns(n: int, k: int) -> list[int]:
     return sorted(d for w in range(1, k + 1) for d in _weight_words(n, w))
 
 
-def _weight_words(width: int, w: int) -> Iterator[int]:
+def _weight_words(width: int, w: int, _after: int = 0) -> Iterator[int]:
     """Weight-w words of the given width (w >= 1), ascending (Gosper's
     hack: carry the lowest run of ones one place up and drop the rest of
-    that run to the bottom)."""
-    v = (1 << w) - 1
+    that run to the bottom). Given a weight-w word ``_after``, the stream
+    begins at its successor, so no smaller word is stepped through."""
+    v = _after
     top = 1 << width
+    if not v:
+        v = (1 << w) - 1
+        if v < top:
+            yield v
     while v < top:
-        yield v
         low = v & -v
         carried = v + low
         v = carried | ((carried ^ v) >> 2) // low
+        if v < top:
+            yield v
 
 
 def enumerate_pairs(

@@ -5,6 +5,11 @@ instead of exactly 1.  The search looks for linear witnesses only:
 generator n-tuples over the target space, in lexicographic order of
 generator values, pruned by the requirement that every XOR of 1..k
 generators is semi-weight and that the generators stay independent.
+Permuting inputs or output columns preserves all of that, so only
+canonical tuples are tried: the first generator is the smallest
+weight-m/2 word and the rest ascend. The first witness in this reduced
+order is the lexicographically-first witness of all tuples, and
+``candidates_examined`` counts candidates of the reduced space only.
 Exhaustion therefore refutes only linear existence; the nonlinear space
 is astronomically larger.
 """
@@ -62,9 +67,10 @@ def verify_k_diffusive(
     return verify_diffusive(map_, k, budget=budget, threads=threads)
 
 
-def _semi_weight_words(m: int) -> Iterator[int]:
-    """Weight-m/2 words of F2^m, ascending."""
-    return _weight_words(m, m // 2)
+def _semi_weight_words(m: int, after: int = 0) -> Iterator[int]:
+    """Weight-m/2 words of F2^m, ascending; with a weight-m/2 word
+    ``after``, only those greater than it."""
+    return _weight_words(m, m // 2, after)
 
 
 def search_linear_k_dispersive(
@@ -74,16 +80,29 @@ def search_linear_k_dispersive(
     *,
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> SearchOutcome:
-    """Scan generator n-tuples over F2^m for a linear k-dispersive map.
+    """Scan canonical generator n-tuples over F2^m for a linear
+    k-dispersive map.
 
-    Candidates per position are the weight-m/2 vectors in ascending
-    integer order, streamed one at a time; a partial tuple survives only
-    while every XOR of up to k of its generators is again semi-weight and
-    the generators are independent. The first witness in this order is
-    returned, so results are reproducible. ``budget`` caps the candidate
-    vectors tested, and with them all the work and memory of the width;
-    hitting it returns exhausted=False. Below ``min_output_dim(n)`` the
-    dimension theorem rules out any dispersive map, so nothing is examined.
+    The first generator is w0 = 2^(m/2) - 1, the smallest weight-m/2
+    word; each later one is a weight-m/2 word greater than the one before,
+    in ascending integer order, streamed one at a time. A partial tuple
+    survives only while every XOR of up to k of its generators is again
+    semi-weight and the generators are independent.
+
+    The witness returned is still the lexicographically-first one over
+    all n-tuples, so results are reproducible. Sorting a witness's
+    generators gives a witness (an input permutation) that is no larger,
+    and independent generators are distinct, so the first witness
+    ascends strictly. A column permutation keeps every weight, and one
+    sends any generator of a witness to w0; sorted, that witness starts
+    with w0, the smallest candidate, so the first witness does too.
+    Exhaustion therefore still refutes linear existence.
+
+    ``candidates_examined`` counts the candidates of this reduced space.
+    ``budget`` caps them, and with them all the work and memory of the
+    width; hitting it returns exhausted=False. Below ``min_output_dim(n)``
+    the dimension theorem rules out any dispersive map, so nothing is
+    examined.
     """
     PairSpec(n, k)  # validates n and k
     if m < 2 or m % 2:
@@ -96,6 +115,7 @@ def search_linear_k_dispersive(
         return SearchOutcome(False, None, 0, True)
 
     half = m // 2
+    w0 = (1 << half) - 1
     chosen: list[int] = []
     # XORs of the subsets of chosen with size <= k-1, grown incrementally;
     # a candidate v extends the tuple only if v ^ s is semi-weight for all
@@ -107,7 +127,7 @@ def search_linear_k_dispersive(
     def dfs() -> list[int] | None:
         nonlocal examined
         depth = len(chosen)
-        for v in _semi_weight_words(m):
+        for v in _semi_weight_words(m, chosen[-1]) if chosen else (w0,):
             examined += 1
             if examined > budget:
                 return None

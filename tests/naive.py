@@ -6,7 +6,9 @@ literal transcription of the recursive permutation. Slow and obviously
 correct.
 """
 
+from functools import reduce
 from itertools import combinations
+from operator import xor as xor_int
 
 
 def xor(a: str, b: str) -> str:
@@ -99,3 +101,44 @@ def rank_closure(rows: list[str]) -> int:
         v = int(row, 2)
         span |= {s ^ v for s in span}
     return len(span).bit_length() - 1
+
+
+def first_linear_witness(
+    n: int, k: int, m: int, budget: int
+) -> tuple[bool, list[str] | None, bool]:
+    """(found, witness, exhausted) of the unrestricted search: every
+    weight-m/2 word, ascending, at every depth, with the same pruning
+    (each XOR of 1..k generators semi-weight, generators independent).
+    More than ``budget`` candidates tried stops it unsettled."""
+    semis = [v for v in range(1 << m) if v.bit_count() * 2 == m]
+    examined = 0
+
+    def extend(chosen: list[int]) -> list[int] | None:
+        nonlocal examined
+        span = {0}
+        for g in chosen:
+            span |= {s ^ g for s in span}
+        subsets = [
+            reduce(xor_int, c, 0)
+            for size in range(k)
+            for c in combinations(chosen, size)
+        ]
+        for v in semis:
+            examined += 1
+            if examined > budget:
+                return None
+            if v in span:
+                continue
+            if any((v ^ s).bit_count() * 2 != m for s in subsets):
+                continue
+            if len(chosen) + 1 == n:
+                return chosen + [v]
+            hit = extend(chosen + [v])
+            if hit is not None or examined > budget:
+                return hit
+        return None
+
+    witness = extend([])
+    if witness is not None:
+        return True, [format(v, f"0{m}b") for v in witness], False
+    return False, None, examined <= budget

@@ -49,3 +49,53 @@ def test_every_wrapped_layer_is_called(tmp_path, capsys):
     # its table, and the search ranks nothing
     unused = {"f2linear.tabulate", "f2linear.rank"}
     assert called == {layer for _, _, layer in tracing.WRAPPED} - unused
+
+
+def test_each_command_calls_its_own_layers(tmp_path, capsys):
+    # grouped per command, so a bypass at one of a layer's call sites
+    # shows even while another command keeps the layer in the trace
+    tracing = _load_tracing()
+    g5, f5_table, f5_matrix = (tmp_path / n for n in ("g5.tt", "f5.tt", "f5.gm"))
+    f5_table.write_text(serialize_truth_table(tabulate(build_dispersive(5))))
+    f5_matrix.write_text(serialize_generator_matrix(build_dispersive(5)))
+    verify = {"cli", "f2linear.parse_map_file", "explorer.verify_k"}
+    expected = [
+        (
+            ["construct", "diffusive", "--n", "5", "--out", str(g5)],
+            {"cli", "diffusive.g_table", "f2linear.serialize_truth_table"},
+        ),
+        (
+            ["verify", "diffusive", str(g5), "--k", "2"],
+            verify | {
+                "diffusive.verify", "diffusive.format_report",
+                "f2linear.is_injective", "_scan.table_values", "_scan.bit_sums",
+            },
+        ),
+        (
+            ["verify", "dispersive", str(f5_table), "--k", "2"],
+            verify | {
+                "dispersive.verify", "dispersive.format_report",
+                "f2linear.is_injective", "_scan.table_values",
+                "_scan.first_distance_violation",
+            },
+        ),
+        (
+            ["verify", "dispersive", str(f5_matrix), "--k", "2"],
+            verify | {"dispersive.verify", "dispersive.format_report"},
+        ),
+        (
+            ["explore", "--n", "2", "--k", "2", "--m-max", "4"],
+            {"cli", "explorer.search"},
+        ),
+    ]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for argv, _ in expected:
+            tracer.main(argv)
+    capsys.readouterr()
+    called: dict[int, set[str]] = {}
+    for span in tracer.spans:
+        called.setdefault(span.run, set()).add(span.name)
+    assert [called.get(run + 1) for run in range(len(expected))] == [
+        layers for _, layers in expected
+    ]

@@ -172,7 +172,7 @@ class TestExplore:
             capsys, "explore", "--n", "2", "--k", "2", "--m-max", "2"
         )
         assert code == 2
-        assert stdout == "EXHAUSTED 6 candidates\n"
+        assert stdout == "EXHAUSTED 2 candidates\n"
 
     def test_budget_cutoff_is_one_error_line(self, capsys):
         code, stdout, stderr = run(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -26,6 +27,9 @@ from dispdiff.explorer import SearchOutcome, _semi_weight_words
 
 import naive
 from peakmem import peak_below
+
+# candidates the unrestricted reference may try per case
+_REFERENCE_BUDGET = 100_000
 
 
 def _random_table(rng, n, m):
@@ -170,7 +174,7 @@ class TestSearch:
         assert not outcome.found
         assert outcome.exhausted
         assert outcome.witness is None
-        assert outcome.candidates_examined == 6
+        assert outcome.candidates_examined == 2
 
     def test_found_1_1_2(self):
         outcome = search_linear_k_dispersive(1, 1, 2)
@@ -213,11 +217,11 @@ class TestSearch:
     @pytest.mark.parametrize(
         "n, k, m, expected",
         [
-            (3, 2, 6, (False, 420, True)),
-            (4, 3, 10, (False, 63756, True)),
-            (6, 2, 10, (False, 63756, True)),
-            (4, 2, 8, (True, 74, False)),
-            (7, 1, 8, (True, 68, False)),
+            (3, 2, 6, (False, 20, True)),
+            (4, 3, 10, (False, 252, True)),
+            (6, 2, 10, (False, 252, True)),
+            (4, 2, 8, (True, 42, False)),
+            (7, 1, 8, (True, 36, False)),
         ],
     )
     def test_recorded_outcomes(self, n, k, m, expected):
@@ -240,6 +244,12 @@ class TestSearch:
         expected = [v for v in range(1 << m) if v.bit_count() == m // 2]
         assert list(_semi_weight_words(m)) == expected
 
+    @pytest.mark.parametrize("m", range(2, 13, 2))
+    def test_candidate_stream_after_a_word_holds_the_larger_words(self, m):
+        words = list(_semi_weight_words(m))
+        for i, w in enumerate(words):
+            assert list(_semi_weight_words(m, w)) == words[i + 1:]
+
     @pytest.mark.parametrize("m", range(2, 11, 2))
     def test_dimension_check_matches_span_rule(self, m):
         # an independent n-tuple of semi-weight words needs m >= n and
@@ -254,6 +264,38 @@ class TestSearch:
             if infeasible:
                 outcome = search_linear_k_dispersive(n, 1, m)
                 assert outcome == SearchOutcome(False, None, 0, True)
+
+    @pytest.mark.parametrize(
+        "n, cases_settled",
+        [(1, 6), (2, 12), (3, 17), (4, 21), (5, 23), (6, 27)],
+    )
+    def test_matches_unrestricted_search(self, n, cases_settled):
+        # the reference tries every ascending weight-m/2 word at every
+        # depth; wherever it settles, the canonical search must agree
+        settled = 0
+        for k in range(1, n + 1):
+            for m in range(2, 13, 2):
+                expected = naive.first_linear_witness(n, k, m, _REFERENCE_BUDGET)
+                if not (expected[0] or expected[2]):
+                    continue
+                settled += 1
+                outcome = search_linear_k_dispersive(n, k, m)
+                witness = outcome.witness and [
+                    str(g) for g in outcome.witness.generators
+                ]
+                assert (outcome.found, witness, outcome.exhausted) == expected
+        assert settled == cases_settled
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_no_k2_witness_when_half_m_is_odd(self, n):
+        # two weight-m/2 generators XOR to an even weight, never m/2 odd:
+        # every word after w0 fails, and nothing deeper is tried
+        for k in range(2, n + 1):
+            for m in range(2, 15, 4):
+                outcome = search_linear_k_dispersive(n, k, m)
+                assert not outcome.found and outcome.exhausted
+                expected = 0 if m < min_output_dim(n) else comb(m, m // 2)
+                assert outcome.candidates_examined == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -276,12 +318,14 @@ class TestMinLinearDim:
     def test_reproduces_dimension_table(self, n):
         assert min_linear_dim_k(n, 1, n + 4) == min_output_dim(n)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_k_equals_n_minimum_is_2_to_the_n(self, n):
         # every nonzero XOR of the generators must be semi-weight, so the
-        # m columns of the generator matrix cover F2^n evenly and 2^n | m;
-        # n = 4 takes minutes and is left out
+        # m columns of the generator matrix cover F2^n evenly and 2^n | m
         assert min_linear_dim_k(n, n, 2**n) == 2**n
+
+    def test_5_3_minimum_is_16(self):
+        assert min_linear_dim_k(5, 3, 16) == 16
 
     def test_none_when_out_of_range(self):
         assert min_linear_dim_k(2, 2, 2) is None
