@@ -153,16 +153,12 @@ def sigma(x: BitWord) -> BitWord:
     """
     if x.width < 2:
         raise ValueError("sigma needs width >= 2")
-    return BitWord(x.width, _sigma_int(x.value))
+    return BitWord(x.width, _tau_int(x.value ^ 1))
 
 
 def _tau_int(v: int) -> int:
     lo = v & 3
     return (v & ~3) | ((lo >> 1) | ((lo & 1) << 1))
-
-
-def _sigma_int(v: int) -> int:
-    return _tau_int(v ^ 1)
 
 
 def complement(x: BitWord) -> BitWord:
@@ -200,11 +196,6 @@ def pair_count(spec: PairSpec) -> int:
     )
 
 
-def flip_patterns(n: int) -> list[int]:
-    """Single-bit XOR patterns in flipped-position order (index 1 first)."""
-    return [1 << (n - i) for i in range(1, n + 1)]
-
-
 def diff_patterns(n: int, k: int) -> list[int]:
     """XOR patterns of weight 1..k.
 
@@ -213,7 +204,7 @@ def diff_patterns(n: int, k: int) -> list[int]:
     follow this order.
     """
     if k == 1:
-        return flip_patterns(n)
+        return [1 << (n - i) for i in range(1, n + 1)]
     return sorted(d for w in range(1, k + 1) for d in _weight_words(n, w))
 
 

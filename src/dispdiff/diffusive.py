@@ -1,14 +1,15 @@
 """Diffusive permutations: over all distance-1 input pairs, each output
 bit flips exactly half the time.
 
-Unlike dispersion, a diffusive permutation of the full n-bit space exists
-for every n >= 2.  The construction recurses on the leading bit: images
-of 0-prefixed inputs copy their own leading bit, images of 1-prefixed
-inputs complement it after routing through the 4-cycle permutation of the
-last two bits.  The per-bit flip counts over the n * 2^(n-1) pairs then
-all equal n * 2^(n-2), which verify_diffusive checks as an exact integer
-identity; no floating point anywhere.  For pairs at distance 1..k the
-target is half the pair count, an integer since 2^(n-1) divides it.
+For every n >= 2 the paper builds one, g, by recursion on the leading
+bit: 0-prefixed inputs copy their image's lead bit up, 1-prefixed inputs
+complement it after sigma, the cycle 00 -> 10 -> 11 -> 01 of the last two
+bits.  Sigma moves only the low pair, and each level's lead bit is its
+input bit XOR the lead bit below, so the low pair of x moves once round
+the cycle per set bit above it, and bit j >= 2 of g(x) (from 0 at the
+right) is the XOR of bits 2..j of x and the moved lead bit.  Each output
+bit flips in n * 2^(n-2) of the n * 2^(n-1) pairs, exactly; at distance
+1..k the target is half the pair count, an integer as 2^(n-1) divides it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _scan
-from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, _sigma_int, flip_patterns
+from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, diff_patterns
 from .f2linear import LinearMap, TruthTableMap, _images, table_size, transpose
 from .dispersive import build_dispersive
 
@@ -43,34 +44,41 @@ class DecomposedSums(NamedTuple):
     c: int
 
 
-def _g(n: int, v: int) -> int:
-    # base case: identity on two bits
-    if n == 2:
-        return v
-    rest = v & ((1 << (n - 1)) - 1)
-    if v >> (n - 1) == 0:
-        y = _g(n - 1, rest)
-        return ((y >> (n - 2)) << (n - 1)) | y
-    y = _g(n - 1, _sigma_int(rest))
-    return (((y >> (n - 2)) ^ 1) << (n - 1)) | y
+# sigma's cycle on the low pair, and each pair's place in it
+_CYCLE = np.array([0b00, 0b10, 0b11, 0b01], dtype=np.uint8)
+_PLACE = np.array([0, 3, 1, 2], dtype=np.uint8)
+
+
+def _g_words(n: int, x: np.ndarray) -> np.ndarray:
+    """g on each n-bit word of the uint64 array x, computed in x."""
+    low = _PLACE[x & 3]
+    x >>= 2
+    low = _CYCLE[(low + np.bitwise_count(x)) & 3]
+    x ^= low >> 1  # the moved lead bit, then the running XOR up from it
+    for shift in (1, 2, 4, 8, 16, 32):
+        x ^= x << shift
+    x &= (1 << (n - 2)) - 1
+    x <<= 2
+    x |= low
+    return x
 
 
 def g_eval(n: int, x: BitWord) -> BitWord:
-    """Evaluate the diffusive permutation on one word, recursing on the
-    leading bit. O(n) word operations, no table needed."""
+    """g(x) in closed form: the low pair moves once round 00 -> 10 -> 11
+    -> 01 per set bit above it, and bit j >= 2 (from 0 at the right) is
+    the XOR of bits 2..j and the moved lead bit. O(log n) word operations."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if x.width != n:
         raise ValueError(f"width mismatch: {x.width} != {n}")
-    return BitWord(n, _g(n, x.value))
+    return BitWord(n, int(_g_words(n, np.array([x.value], dtype=np.uint64))[0]))
 
 
 def g_table(n: int) -> TruthTableMap:
     """Materialize the full permutation table for bulk verification."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    size = table_size(n)
-    values = np.fromiter((_g(n, v) for v in range(size)), dtype=np.uint64, count=size)
+    values = _g_words(n, np.arange(table_size(n), dtype=np.uint64))
     return TruthTableMap(n, n, values)
 
 
@@ -172,7 +180,7 @@ def decompose_sums(n: int, i: int) -> DecomposedSums:
         raise ValueError(f"output index {i} out of range 1..{n}")
     values = g_table(n).values
     half = 1 << (n - 1)
-    patterns = flip_patterns(n - 1)
+    patterns = diff_patterns(n - 1, 1)
     p = _scan.bit_sums(values[:half], n, patterns)[i - 1]
     q = _scan.bit_sums(values[half:], n, patterns)[i - 1]
     # the cross pairs are exactly the top-bit pattern

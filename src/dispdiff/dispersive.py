@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _scan
-from .bitword import DEFAULT_PAIR_BUDGET, BitWord, _check_width, flip_patterns
+from .bitword import DEFAULT_PAIR_BUDGET, BitWord, _check_width, diff_patterns
 from .f2linear import LinearMap, TruthTableMap, _images, tabulate
 
 
@@ -158,7 +158,7 @@ def verify_dispersive_linear(map_: LinearMap) -> DispersionReport:
     generator i is reported as the violating pair {0, e_i}. No budget
     or table cap applies, and ``pairs_checked`` is 0.
     """
-    viol = _linear_violation(map_, flip_patterns(map_.input_dim))
+    viol = _linear_violation(map_, diff_patterns(map_.input_dim, 1))
     return _dispersion_report(map_, viol, 0)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from dispdiff import (
     g_eval,
     g_table,
     quadruple_sum_check,
+    serialize_truth_table,
     sigma,
     tabulate,
     verify_diffusive,
@@ -25,6 +27,8 @@ import naive
 from peakmem import peak_below
 
 G3_GOLDEN = ["000", "001", "110", "111", "010", "100", "011", "101"]
+# sha256 of the n=18 table file, as pinned by perfbench/workloads.py
+G18_SHA256 = "6addcc9e76c68944f466b3c94d43321a30e3e44506da4e53740f809c3376577a"
 
 
 class TestGEval:
@@ -40,6 +44,14 @@ class TestGEval:
         for n in range(2, 9):
             for s in naive.words(n):
                 assert str(g_eval(n, BitWord.parse(s))) == naive.g(s)
+
+    @pytest.mark.parametrize("n", range(9, 65))
+    def test_matches_string_oracle_wide(self, n):
+        # the prefix-XOR shifts of 8, 16 and 32 first matter at n = 11, 19, 35
+        rng = random.Random(n)
+        for v in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(40)]:
+            s = format(v, f"0{n}b")
+            assert str(g_eval(n, BitWord(n, v))) == naive.g(s)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -78,6 +90,21 @@ class TestGTable:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_permutation(self, n):
         assert g_table(n).is_injective()
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_string_oracle(self, n):
+        expected = [int(naive.g(s), 2) for s in naive.words(n)]
+        assert g_table(n).values.tolist() == expected
+
+    def test_n18_file_hash(self):
+        text = serialize_truth_table(g_table(18))
+        assert hashlib.sha256(text.encode()).hexdigest() == G18_SHA256
+
+    def test_n20_peak_memory(self):
+        # in place, g needs the 8 MiB table and one temporary of its size;
+        # building a new array per step reads 5x the table or more
+        with peak_below(3 * (8 << 20) + (1 << 20)):
+            g_table(20)
 
     def test_matches_g_eval(self):
         for n in range(2, 8):
