@@ -40,40 +40,29 @@ def min_output_dim(n: int) -> int:
 def semi_weight_generators(k: int) -> list[BitWord]:
     """A maximal independent family of width-k words of weight k/2.
 
-    k = 2 yields the two identity rows. For k >= 4 the family has k - 1
-    members when k is 0 mod 4 and k members when k is 2 mod 4: the first
-    k/2 are runs of k/2 ones starting at positions 1..k/2, the next ones
-    patch a basis vector into the last run, and the final member (only for
-    k = 2 mod 4) closes the family back through the first run.
+    With half = k/2 and positions 1..k from the left: the runs of half
+    ones starting at positions 1..half, then for i in half+1..k-1 the
+    positions half..k with position i removed, then (k = 2 mod 4 only)
+    1 XOR member 1 XOR member (k+2)/4. That is k - 1 members when k is
+    0 mod 4 and k when k is 2 mod 4; k = 2 gives 10 and 01.
     """
     if k < 2 or k % 2:
         raise ValueError(f"k must be even and >= 2, got {k}")
     _check_width(k)
-    if k == 2:
-        return [BitWord.unit(2, 1), BitWord.unit(2, 2)]
-    half = k // 2
-    e = [1 << (k - i) for i in range(1, k + 1)]
-    v = [0] * (k + 1)
-    run = 0
-    for j in range(1, half + 1):
-        run ^= e[j - 1]
-    for i in range(1, half + 1):
-        v[i] = run
-        if i < half:
-            run ^= e[i - 1] ^ e[i + half - 1]
-    for i in range(half + 1, k):
-        v[i] = e[i - 1] ^ v[half] ^ e[k - 1]
-    count = k - 1
+    half, run = k // 2, (1 << k // 2) - 1
+    gens = [run << (half - i) for i in range(half)]
+    gens += [((run << 1) | 1) ^ (1 << (k - i)) for i in range(half + 1, k)]
     if k % 4 == 2:
-        v[k] = e[k - 1] ^ v[1] ^ v[(k + 2) // 4]
-        count = k
-    return [BitWord(k, v[i]) for i in range(1, count + 1)]
+        gens.append(1 ^ gens[0] ^ gens[(k + 2) // 4 - 1])
+    return [BitWord(k, v) for v in gens]
 
 
 def build_dispersive(n: int, target_m: int | None = None) -> LinearMap:
     """A dispersive linear map from n bits into target_m (default: the
     minimum feasible, even, dimension). Takes the lowest-indexed n
-    members of the semi-weight family at that width."""
+    members of the semi-weight family at that width, which has m of them
+    when m is 2 mod 4 and m - 1 >= n otherwise (m >= min_output_dim(n)
+    >= n, and m = n only when n is 2 mod 4)."""
     minimum = min_output_dim(n)
     m = minimum if target_m is None else target_m
     if m % 2:
@@ -82,12 +71,7 @@ def build_dispersive(n: int, target_m: int | None = None) -> LinearMap:
         raise ValueError(
             f"output dimension {m} below minimum {minimum} for n={n}"
         )
-    gens = semi_weight_generators(m)
-    if len(gens) < n:
-        raise ValueError(
-            f"only {len(gens)} independent semi-weight generators at width {m}, need {n}"
-        )
-    return LinearMap(n, m, tuple(gens[:n]))
+    return LinearMap(n, m, tuple(semi_weight_generators(m)[:n]))
 
 
 def _dispersion_report(
@@ -157,6 +141,10 @@ def verify_dispersive_linear(map_: LinearMap) -> DispersionReport:
     bit i changes the output by exactly generator i). A wrong-weight
     generator i is reported as the violating pair {0, e_i}. No budget
     or table cap applies, and ``pairs_checked`` is 0.
+
+    It stays beside ``verify_dispersive(map_, 1)`` because it is the only
+    decider for a matrix with more than 28 input bits, which that call
+    refuses at the table cap, and it takes no budget.
     """
     viol = _linear_violation(map_, diff_patterns(map_.input_dim, 1))
     return _dispersion_report(map_, viol, 0)

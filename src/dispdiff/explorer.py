@@ -2,16 +2,11 @@
 
 The k-dispersive condition quantifies over pairs at distance up to k
 instead of exactly 1.  The search looks for linear witnesses only:
-generator n-tuples over the target space, in lexicographic order of
-generator values, pruned by the requirement that every XOR of 1..k
-generators is semi-weight and that the generators stay independent.
-Permuting inputs or output columns preserves all of that, so only
-canonical tuples are tried: the first generator is the smallest
-weight-m/2 word and the rest ascend. The first witness in this reduced
-order is the lexicographically-first witness of all tuples, and
-``candidates_examined`` counts candidates of the reduced space only.
-Exhaustion therefore refutes only linear existence; the nonlinear space
-is astronomically larger.
+canonical generator n-tuples over the target space (why they suffice is
+in ``search_linear_k_dispersive``), pruned by the requirement that every
+XOR of 1..k generators is semi-weight and that the generators stay
+independent. Exhaustion refutes only linear existence; the nonlinear
+space is astronomically larger.
 """
 
 from __future__ import annotations

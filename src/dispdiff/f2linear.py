@@ -26,17 +26,14 @@ class LinearMap:
     generators: tuple[BitWord, ...]
 
     def __post_init__(self) -> None:
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("dimensions must be >= 1")
-        if len(self.generators) != self.input_dim:
-            raise ValueError(
-                f"expected {self.input_dim} generators, got {len(self.generators)}"
-            )
+        n, m = self.input_dim, self.output_dim
+        if not (1 <= n <= MAX_WIDTH and 1 <= m <= MAX_WIDTH):
+            raise ValueError(f"dimensions must be in 1..{MAX_WIDTH}")
+        if len(self.generators) != n:
+            raise ValueError(f"expected {n} generators, got {len(self.generators)}")
         for g in self.generators:
-            if g.width != self.output_dim:
-                raise ValueError(
-                    f"generator width {g.width} != output dim {self.output_dim}"
-                )
+            if g.width != m:
+                raise ValueError(f"generator width {g.width} != output dim {m}")
 
     def is_injective(self) -> bool:
         # a linear map is injective iff its generators are independent

@@ -360,3 +360,20 @@ def _brute_force_first_witness(n, k, m):
         return None
 
     return candidates([])
+
+
+# minimal linear k-dispersive widths the row search settles; (5, 5) needs
+# m = 32, beyond MAX_SEARCH_WIDTH
+MIN_LINEAR_WIDTHS = {
+    1: [2],
+    2: [2, 4],
+    3: [4, 4, 8],
+    4: [6, 8, 8, 16],
+    5: [6, 12, 16, 16],
+}
+
+
+@pytest.mark.parametrize("n", sorted(MIN_LINEAR_WIDTHS))
+def test_minimal_linear_widths_are_pinned(n):
+    for k, m in enumerate(MIN_LINEAR_WIDTHS[n], start=1):
+        assert min_linear_dim_k(n, k, m) == m, (n, k)

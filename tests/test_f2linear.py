@@ -280,3 +280,10 @@ class TestFileFormats:
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_map_file(bad)
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (65, 2), (2, 0), (2, 65)])
+def test_linear_map_dimensions_in_word_range(n, m):
+    # a 65-input matrix would serialize to a header parse_map_file refuses
+    with pytest.raises(ValueError, match="dimensions must be in 1..64"):
+        LinearMap(n, m, (BitWord(2, 1),) * n)
