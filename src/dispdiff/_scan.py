@@ -1,4 +1,4 @@
-"""The pair space of the verifiers and the vectorized scans over it.
+"""Vectorized scans of a truth table over the pairs of a pattern list.
 
 Every unordered pair at distance 1..k is {x, x ^ d} for an XOR pattern d
 with top bit t, counted once at the x whose bit t is 0.  Those x are the
@@ -21,25 +21,9 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .bitword import BudgetExceededError, PairSpec, diff_patterns, pair_count
-from .f2linear import LinearMap, TruthTableMap, table_size
+from .f2linear import TruthTableMap
 
 T = TypeVar("T")
-
-
-def pair_space(
-    map_: LinearMap | TruthTableMap, k: int, budget: int
-) -> tuple[int, list[int]]:
-    """Size and diff_patterns of the input pairs at distance 1..k. Refuses
-    in this order a generator matrix above the table cap, k outside 1..n
-    and more pairs than ``budget``, all before a pattern is listed."""
-    n = map_.input_dim
-    if isinstance(map_, LinearMap):
-        table_size(n)
-    npairs = pair_count(PairSpec(n, k))
-    if npairs > budget:
-        raise BudgetExceededError(npairs, budget)
-    return npairs, diff_patterns(n, k)
 
 
 def table_values(table: TruthTableMap) -> np.ndarray:

@@ -19,6 +19,10 @@ from typing import Iterator
 
 MAX_WIDTH = 64
 
+# Largest table any call materialises: 2^28 uint64 entries, 2 GiB. It also
+# caps the XOR patterns a pair space lists.
+MAX_TABLE_BITS = 28
+
 # Default ``budget``: the most pairs a verifier enumerates, or candidates
 # the search tests, unless the caller raises it.
 DEFAULT_PAIR_BUDGET = 1 << 28
@@ -196,6 +200,22 @@ def pair_count(spec: PairSpec) -> int:
     )
 
 
+def pair_space(spec: PairSpec, budget: int) -> tuple[int, list[int]]:
+    """Size and diff_patterns of the pairs of ``spec``, for a map of any
+    type. ``spec`` has refused k outside 1..n; this refuses more pairs
+    than ``budget``, then more than 2^MAX_TABLE_BITS patterns (a table's
+    |D_k| < 2^n never is), before any pattern is listed."""
+    npairs = pair_count(spec)
+    if npairs > budget:
+        raise BudgetExceededError(npairs, budget)
+    npatterns = npairs >> (spec.n - 1)
+    if npatterns > 1 << MAX_TABLE_BITS:
+        raise ValueError(
+            f"{npatterns} patterns exceed the cap of 2^{MAX_TABLE_BITS} entries"
+        )
+    return npairs, diff_patterns(spec.n, spec.k)
+
+
 def diff_patterns(n: int, k: int) -> list[int]:
     """XOR patterns of weight 1..k.
 
@@ -235,14 +255,11 @@ def enumerate_pairs(
     """Yield each unordered pair {x, y} with 1 <= distance <= k exactly once.
 
     Deterministic order: the smaller element x ascending, then XOR patterns
-    in the diff_patterns order. More pairs in the whole space than
-    ``budget`` raise BudgetExceededError.
+    in the diff_patterns order. ``pair_space`` makes the refusals, at the
+    first ``next()``.
     """
-    total = pair_count(spec)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    _, patterns = pair_space(spec, budget)
     n = spec.n
-    patterns = diff_patterns(n, spec.k)
     for xv in range(1 << n):
         for d in patterns:
             yv = xv ^ d

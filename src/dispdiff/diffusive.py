@@ -20,7 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _scan
-from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, diff_patterns
+from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, PairSpec
+from .bitword import diff_patterns, pair_space
 from .f2linear import LinearMap, TruthTableMap, _images, table_size, transpose
 from .dispersive import build_dispersive
 
@@ -93,9 +94,10 @@ def verify_diffusive(
 
     Passes iff the map is injective and every sum equals exactly half the
     pair count (n * 2^(n-2) for k = 1). All m output bits are checked,
-    also when m > n. More pairs than ``budget`` raise BudgetExceededError.
-    A generator matrix is decided from its pattern images, with the report
-    and refusals of its table: the 2^(n-1) pairs of pattern d flip f(d).
+    also when m > n. 1-bit inputs are refused, then ``pair_space``'s
+    refusals are made. A generator matrix is decided from its pattern
+    images, with the report of its table and no table cap: the 2^(n-1)
+    pairs of pattern d flip f(d).
     """
     n, m = map_.input_dim, map_.output_dim
     if n < 2:
@@ -103,7 +105,7 @@ def verify_diffusive(
             "no diffusive map exists on 1-bit inputs: the required per-bit "
             "sum n * 2^(n-2) is not an integer"
         )
-    npairs, patterns = _scan.pair_space(map_, k, budget)
+    npairs, patterns = pair_space(PairSpec(n, k), budget)
     target = npairs // 2
     if isinstance(map_, LinearMap):
         images = list(_images(map_, patterns))

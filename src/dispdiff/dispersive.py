@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _scan
-from .bitword import DEFAULT_PAIR_BUDGET, BitWord, _check_width, diff_patterns
+from .bitword import DEFAULT_PAIR_BUDGET, BitWord, PairSpec, _check_width
+from .bitword import diff_patterns, pair_space
 from .f2linear import LinearMap, TruthTableMap, _images, tabulate
 
 
@@ -118,11 +119,11 @@ def verify_dispersive(
 
     Passes iff the output dimension is even, the map is injective, and
     each pair lands at output distance exactly m/2. The first failing
-    pair in (x, diff_patterns index) order is reported. More pairs than
-    ``budget`` raise BudgetExceededError. A generator matrix is decided
-    from its pattern images, with the report and refusals of its table.
+    pair in (x, diff_patterns index) order is reported. ``pair_space``
+    makes the refusals. A generator matrix is decided from its pattern
+    images, with the report of its table and no table cap.
     """
-    npairs, patterns = _scan.pair_space(map_, k, budget)
+    npairs, patterns = pair_space(PairSpec(map_.input_dim, k), budget)
     if isinstance(map_, LinearMap):
         viol = _linear_violation(map_, patterns)
     else:
@@ -140,11 +141,10 @@ def verify_dispersive_linear(map_: LinearMap) -> DispersionReport:
     hence injective) and every generator has weight m/2 (a flip of input
     bit i changes the output by exactly generator i). A wrong-weight
     generator i is reported as the violating pair {0, e_i}. No budget
-    or table cap applies, and ``pairs_checked`` is 0.
+    applies, and ``pairs_checked`` is 0.
 
-    It stays beside ``verify_dispersive(map_, 1)`` because it is the only
-    decider for a matrix with more than 28 input bits, which that call
-    refuses at the table cap, and it takes no budget.
+    It stays beside ``verify_dispersive(map_, 1)`` because it takes no
+    budget: n * 2^(n-1) pairs fit the default budget only up to n = 24.
     """
     viol = _linear_violation(map_, diff_patterns(map_.input_dim, 1))
     return _dispersion_report(map_, viol, 0)

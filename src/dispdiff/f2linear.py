@@ -13,10 +13,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bitword import MAX_WIDTH, BitWord
-
-# Largest table any call materialises: 2^28 uint64 entries, 2 GiB.
-MAX_TABLE_BITS = 28
+from .bitword import MAX_TABLE_BITS, MAX_WIDTH, BitWord
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,14 @@ class TestExplore:
         assert code == 0
         assert stdout.startswith("FOUND m=4\n")
 
+    def test_width_above_the_search_cap_is_refused(self, capsys):
+        # widths 2..26 lie below min_output_dim(29) = 30 and return at once
+        code, stdout, stderr = run(
+            capsys, "explore", "--n", "29", "--m-max", "30"
+        )
+        assert code == 1 and stdout == ""
+        assert stderr == "error: m=28 beyond search width cap 26\n"
+
 
 class TestInfo:
     def test_generator(self, f3_file, capsys):

@@ -4,6 +4,7 @@ table scan of the same map, and the refusals the table used to give."""
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,14 +68,14 @@ def test_matrix_reports_equal_table_reports(mp):
     )
 
 
-def test_wide_matrix_is_refused_by_the_table_cap_before_the_budget(tmp_path, capsys):
+def test_wide_matrix_is_refused_by_the_budget_not_a_table_cap(tmp_path, capsys):
     path = tmp_path / "wide.gm"
     path.write_text("40 2\n" + "10\n" * 40)
     for prop in ("dispersive", "diffusive"):
         assert main(["verify", prop, str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: a table on n=40 inputs exceeds the cap of 2^28 entries\n"
+        assert err == "error: enumeration of 21990232555520 pairs exceeds budget 268435456\n"
 
 
 def test_matrix_over_budget_is_refused(tmp_path, capsys):
@@ -102,3 +103,32 @@ def test_matrix_at_the_cap_is_decided_without_its_table():
         diff = verify_diffusive(diffusive, budget=1 << 40)
     assert disp.passed and disp.pairs_checked == 28 << 27
     assert diff.passed and diff.per_bit_sums == (26 << 24,) * 26
+
+
+@pytest.mark.parametrize("n", range(29, 63))
+def test_matrix_above_the_table_cap_matches_the_linear_decider(n):
+    mp = build_dispersive(n)
+    assert verify_dispersive(mp, 1, budget=1 << 70) == dataclasses.replace(
+        verify_dispersive_linear(mp), pairs_checked=n << (n - 1)
+    )
+
+
+def test_constructed_62_bit_matrices_verify_from_the_cli(tmp_path, capsys):
+    f62, c62 = tmp_path / "f62.gm", tmp_path / "c62.gm"
+    assert main(["construct", "dispersive", "--n", "62", "--out", str(f62)]) == 0
+    assert main(["construct", "column-diffusive", "--n", "62", "--out", str(c62)]) == 0
+    capsys.readouterr()
+    budget = ["--budget", "1000000000000000000000"]
+    assert main(["verify", "dispersive", str(f62), *budget]) == 0
+    assert capsys.readouterr() == ("PASS\n", "")
+    assert main(["verify", "diffusive", str(c62), *budget]) == 0
+    half = "71481133285624512512"
+    lines = [f"bit {i}: {half}/{half}" for i in range(1, 63)] + ["PASS"]
+    assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+    for prop, path in (("dispersive", f62), ("diffusive", c62)):
+        assert main(["verify", prop, str(path)]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: enumeration of 142962266571249025024 pairs exceeds "
+            "budget 268435456\n",
+        )

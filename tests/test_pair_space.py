@@ -8,9 +8,11 @@ import pytest
 from dispdiff import (
     BitWord,
     LinearMap,
+    PairSpec,
     TruthTableMap,
     build_dispersive,
     column_diffusive,
+    enumerate_pairs,
     parse_map_file,
     tabulate,
     verify_diffusive,
@@ -20,7 +22,9 @@ from dispdiff.bitword import diff_patterns
 
 from peakmem import peak_below
 
-CAP = "a table on n=40 inputs exceeds the cap of 2^28 entries"
+CAP = "1099511627775 patterns exceed the cap of 2^28 entries"
+WIDE_K_RANGE = "k must be in 1..40, got 99"
+WIDE_BUDGET = "enumeration of 604462909806764831539200 pairs exceeds budget 0"
 K_RANGE = "k must be in 1..6, got 7"
 BUDGET = "enumeration of 192 pairs exceeds budget 4"
 ONE_BIT = (
@@ -44,8 +48,11 @@ def _refusal(verify, map_, k, budget):
 
 @pytest.mark.parametrize("verify", [verify_dispersive, verify_diffusive])
 def test_refusal_order(verify):
-    # the table cap before k, k before the budget
-    assert _refusal(verify, WIDE, 99, 0) == CAP
+    # k before the budget, the budget before the pattern cap; no table
+    # cap for a matrix
+    assert _refusal(verify, WIDE, 99, 0) == WIDE_K_RANGE
+    assert _refusal(verify, WIDE, 40, 0) == WIDE_BUDGET
+    assert _refusal(verify, WIDE, 40, 1 << 200) == CAP
     for map_ in (F6, tabulate(F6)):
         assert _refusal(verify, map_, 7, 0) == K_RANGE
         assert _refusal(verify, map_, 1, 4) == BUDGET
@@ -62,6 +69,14 @@ def test_cap_is_refused_before_patterns_are_listed(verify):
     # 2^40 patterns at k = n, were they listed
     with peak_below():
         assert _refusal(verify, WIDE, 40, 1 << 200) == CAP
+
+
+def test_enumerate_pairs_refuses_the_cap_before_patterns_are_listed():
+    pairs = enumerate_pairs(PairSpec(40, 40), budget=1 << 200)
+    with peak_below():
+        with pytest.raises(ValueError) as info:
+            next(pairs)
+    assert str(info.value) == CAP
 
 
 @pytest.mark.parametrize("n", range(1, 15))
