@@ -13,15 +13,12 @@ the cap matters.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 MAX_WIDTH = 64
-
-# Largest table any call materialises: 2^28 uint64 entries, 2 GiB. It also
-# caps the XOR patterns a pair space lists.
-MAX_TABLE_BITS = 28
 
 # Default ``budget``: the most pairs a verifier enumerates, or candidates
 # the search tests, unless the caller raises it.
@@ -200,32 +197,27 @@ def pair_count(spec: PairSpec) -> int:
     )
 
 
-def pair_space(spec: PairSpec, budget: int) -> tuple[int, list[int]]:
-    """Size and diff_patterns of the pairs of ``spec``, for a map of any
-    type. ``spec`` has refused k outside 1..n; this refuses more pairs
-    than ``budget``, then more than 2^MAX_TABLE_BITS patterns (a table's
-    |D_k| < 2^n never is), before any pattern is listed."""
+def pair_space(spec: PairSpec, budget: int) -> int:
+    """Size of the pair set of ``spec`` (whose k ``PairSpec`` keeps in 1..n)
+    for a map of any type, refused above ``budget``. No pattern is listed."""
     npairs = pair_count(spec)
     if npairs > budget:
         raise BudgetExceededError(npairs, budget)
-    npatterns = npairs >> (spec.n - 1)
-    if npatterns > 1 << MAX_TABLE_BITS:
-        raise ValueError(
-            f"{npatterns} patterns exceed the cap of 2^{MAX_TABLE_BITS} entries"
-        )
-    return npairs, diff_patterns(spec.n, spec.k)
+    return npairs
+
+
+def _patterns(n: int, k: int) -> Iterator[int]:
+    """XOR patterns of weight 1..k, streamed: by flipped bit position for
+    k=1, else ascending (a merge of the weight classes). Pair enumeration
+    and violation reporting follow this order."""
+    if k == 1:
+        return (1 << (n - i) for i in range(1, n + 1))
+    return heapq.merge(*(_weight_words(n, w) for w in range(1, k + 1)))
 
 
 def diff_patterns(n: int, k: int) -> list[int]:
-    """XOR patterns of weight 1..k.
-
-    For k=1 the order is by flipped bit position ascending; for k >= 2 it
-    is ascending integer value. Pair enumeration and violation reporting
-    follow this order.
-    """
-    if k == 1:
-        return [1 << (n - i) for i in range(1, n + 1)]
-    return sorted(d for w in range(1, k + 1) for d in _weight_words(n, w))
+    """``_patterns`` as a list, for the scans of a table (|D_k| < 2^n)."""
+    return list(_patterns(n, k))
 
 
 def _weight_words(width: int, w: int, _after: int = 0) -> Iterator[int]:
@@ -255,13 +247,13 @@ def enumerate_pairs(
     """Yield each unordered pair {x, y} with 1 <= distance <= k exactly once.
 
     Deterministic order: the smaller element x ascending, then XOR patterns
-    in the diff_patterns order. ``pair_space`` makes the refusals, at the
-    first ``next()``.
+    in the ``_patterns`` order, streamed afresh for each x. ``pair_space``
+    makes the refusals, at the first ``next()``.
     """
-    _, patterns = pair_space(spec, budget)
+    pair_space(spec, budget)
     n = spec.n
     for xv in range(1 << n):
-        for d in patterns:
+        for d in _patterns(n, spec.k):
             yv = xv ^ d
             if xv < yv:
                 yield BitWord(n, xv), BitWord(n, yv)

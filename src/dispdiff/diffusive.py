@@ -15,6 +15,7 @@ bit flips in n * 2^(n-2) of the n * 2^(n-1) pairs, exactly; at distance
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import _scan
 from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, PairSpec
 from .bitword import diff_patterns, pair_space
-from .f2linear import LinearMap, TruthTableMap, _images, table_size, transpose
+from .f2linear import LinearMap, TruthTableMap, table_size, transpose
 from .dispersive import build_dispersive
 
 
@@ -95,9 +96,10 @@ def verify_diffusive(
     Passes iff the map is injective and every sum equals exactly half the
     pair count (n * 2^(n-2) for k = 1). All m output bits are checked,
     also when m > n. 1-bit inputs are refused, then ``pair_space``'s
-    refusals are made. A generator matrix is decided from its pattern
-    images, with the report of its table and no table cap: the 2^(n-1)
-    pairs of pattern d flip f(d).
+    refusals are made. A generator matrix gets its table's report from its
+    column weights w: the 2^(n-1) pairs of pattern d flip f(d), in bit b
+    iff d meets column b in an odd number i of places, as C(w, i) *
+    C(n - w, j - i) of the patterns of weight j do. No pattern is listed.
     """
     n, m = map_.input_dim, map_.output_dim
     if n < 2:
@@ -105,15 +107,17 @@ def verify_diffusive(
             "no diffusive map exists on 1-bit inputs: the required per-bit "
             "sum n * 2^(n-2) is not an integer"
         )
-    npairs, patterns = pair_space(PairSpec(n, k), budget)
+    npairs = pair_space(PairSpec(n, k), budget)
     target = npairs // 2
     if isinstance(map_, LinearMap):
-        images = list(_images(map_, patterns))
-        counts = [sum(f >> (m - b) & 1 for f in images) for b in range(1, m + 1)]
-        sums = [c << (n - 1) for c in counts]
+        ij = [(i, j) for j in range(1, k + 1) for i in range(1, j + 1, 2)]
+        gens = [g.value for g in map_.generators]
+        weights = [sum(v >> (m - b) & 1 for v in gens) for b in range(1, m + 1)]
+        odd = [sum(comb(w, i) * comb(n - w, j - i) for i, j in ij) for w in weights]
+        sums = [c << (n - 1) for c in odd]
     else:
         values = _scan.table_values(map_)
-        sums = _scan.bit_sums(values, m, patterns, threads=threads)
+        sums = _scan.bit_sums(values, m, diff_patterns(n, k), threads=threads)
     injective = map_.is_injective()
     passed = injective and all(s == target for s in sums)
     return DiffusionReport(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _scan
 from .bitword import DEFAULT_PAIR_BUDGET, BitWord, PairSpec, _check_width
-from .bitword import diff_patterns, pair_space
+from .bitword import _patterns, diff_patterns, pair_space
 from .f2linear import LinearMap, TruthTableMap, _images, tabulate
 
 
@@ -98,14 +98,14 @@ def _dispersion_report(
     )
 
 
-def _linear_violation(
-    map_: LinearMap, patterns: list[int]
-) -> tuple[int, int, int] | None:
+def _linear_violation(map_: LinearMap, k: int) -> tuple[int, int, int] | None:
     """f(x) ^ f(x ^ d) = f(d), so the first failing pair of a linear map is
-    {0, d} for the first pattern d whose image is not of weight m/2."""
+    {0, d} for the first pattern d of weight 1..k whose image is not of
+    weight m/2. The pattern stream is read no further than that d."""
     m = map_.output_dim
-    weights = (f.bit_count() for f in _images(map_, patterns))
-    return next(((0, d, w) for d, w in zip(patterns, weights) if 2 * w != m), None)
+    images = _images(map_, _patterns(map_.input_dim, k))
+    weights = ((d, f.bit_count()) for d, f in images)
+    return next(((0, d, w) for d, w in weights if 2 * w != m), None)
 
 
 def verify_dispersive(
@@ -119,17 +119,18 @@ def verify_dispersive(
 
     Passes iff the output dimension is even, the map is injective, and
     each pair lands at output distance exactly m/2. The first failing
-    pair in (x, diff_patterns index) order is reported. ``pair_space``
-    makes the refusals. A generator matrix is decided from its pattern
-    images, with the report of its table and no table cap.
+    pair in (x, pattern) order is reported. ``pair_space`` makes the
+    refusals. A generator matrix gets its table's report from a stream of
+    pattern images stopped at the first failure; no pattern is listed.
     """
-    npairs, patterns = pair_space(PairSpec(map_.input_dim, k), budget)
+    n = map_.input_dim
+    npairs = pair_space(PairSpec(n, k), budget)
     if isinstance(map_, LinearMap):
-        viol = _linear_violation(map_, patterns)
+        viol = _linear_violation(map_, k)
     else:
         values = _scan.table_values(map_)
         viol = _scan.first_distance_violation(
-            values, map_.output_dim, patterns, threads=threads
+            values, map_.output_dim, diff_patterns(n, k), threads=threads
         )
     return _dispersion_report(map_, viol, npairs)
 
@@ -146,7 +147,7 @@ def verify_dispersive_linear(map_: LinearMap) -> DispersionReport:
     It stays beside ``verify_dispersive(map_, 1)`` because it takes no
     budget: n * 2^(n-1) pairs fit the default budget only up to n = 24.
     """
-    viol = _linear_violation(map_, diff_patterns(map_.input_dim, 1))
+    viol = _linear_violation(map_, 1)
     return _dispersion_report(map_, viol, 0)
 
 

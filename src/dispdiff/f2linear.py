@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bitword import MAX_TABLE_BITS, MAX_WIDTH, BitWord
+from .bitword import MAX_WIDTH, BitWord
 
 
 @dataclass(frozen=True)
@@ -93,20 +93,20 @@ def apply(map_: LinearMap, x: BitWord) -> BitWord:
     """Image of x: XOR of the generators at the set bits of x."""
     if x.width != map_.input_dim:
         raise ValueError(f"width mismatch: {x.width} != {map_.input_dim}")
-    return BitWord(map_.output_dim, next(_images(map_, [x.value])))
+    return BitWord(map_.output_dim, next(_images(map_, [x.value]))[1])
 
 
-def _images(map_: LinearMap, xs: Iterable[int]) -> Iterator[int]:
-    """The image of each input value in xs, as an int, one at a time."""
+def _images(map_: LinearMap, xs: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Each input value x in xs with its image, as ints, one at a time."""
     n = map_.input_dim
     gen_at = {1 << (n - i): g.value for i, g in enumerate(map_.generators, start=1)}
     for x in xs:
-        acc = 0
-        while x:
-            low = x & -x
+        acc, rest = 0, x
+        while rest:
+            low = rest & -rest
             acc ^= gen_at[low]
-            x ^= low
-        yield acc
+            rest ^= low
+        yield x, acc
 
 
 def rank(rows: list[BitWord] | tuple[BitWord, ...]) -> int:
@@ -157,6 +157,9 @@ def transpose(map_: LinearMap) -> LinearMap:
             acc |= bit << (n - j)
         cols.append(BitWord(n, acc))
     return LinearMap(n, m, tuple(cols))
+
+
+MAX_TABLE_BITS = 28  # the largest table any call builds: 2^28 uint64s, 2 GiB
 
 
 def table_size(n: int) -> int:

@@ -74,6 +74,19 @@ def diffusion_sums(table: dict[str, str], n: int, k: int = 1) -> list[int]:
     return sums
 
 
+def pattern_image_sums(table: dict[str, str], n: int, k: int) -> list[int]:
+    """Per-output-bit pair sums at distance 1..k of a linear map, given as
+    its table: the 2^(n-1) pairs {x, x ^ d} all differ by the image of d,
+    so each pattern's image bits count 2^(n-1) times."""
+    m = len(next(iter(table.values())))
+    sums = [0] * m
+    for d, image in table.items():
+        if 1 <= weight(d) <= k:
+            for j in range(m):
+                sums[j] += int(image[j])
+    return [s * 2 ** (n - 1) for s in sums]
+
+
 def dispersion_violations(
     table: dict[str, str], n: int, k: int = 1
 ) -> list[tuple[str, str, int]]:

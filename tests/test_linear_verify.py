@@ -3,6 +3,7 @@ patterns instead of scanning its table. Differential tests against the
 table scan of the same map, and the refusals the table used to give."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from dispdiff import (
 )
 from dispdiff.cli import main
 
+import naive
 from peakmem import peak_below
 
 
@@ -111,6 +113,56 @@ def test_matrix_above_the_table_cap_matches_the_linear_decider(n):
     assert verify_dispersive(mp, 1, budget=1 << 70) == dataclasses.replace(
         verify_dispersive_linear(mp), pairs_checked=n << (n - 1)
     )
+
+
+def test_matrix_dispersion_stops_at_the_first_failing_pattern():
+    # |D_7| of 40 inputs is about 2.2e7 patterns; the third, 3, fails
+    mp = build_dispersive(40)
+    with peak_below():
+        report = verify_dispersive(mp, 7, budget=1 << 200)
+    assert report.first_violation == (BitWord(40, 0), BitWord(40, 3))
+    assert report.violation_distance == 2
+    assert not report.passed and report.injective
+
+
+def test_matrix_diffusion_needs_no_pattern_list():
+    mp = column_diffusive(38)
+    with peak_below():
+        report = verify_diffusive(mp, 6, budget=1 << 200)
+    # pinned from the pattern-image count, which listed |D_6| patterns
+    assert report.per_bit_sums == (229965055972605952,) * 38
+    assert report.target == 229908912160112640
+    assert report.pairs_checked == 459817824320225280
+    assert not report.passed and report.injective
+
+
+def _random_matrix(rng, n, m):
+    return LinearMap(n, m, tuple(BitWord(m, rng.getrandbits(m)) for _ in range(n)))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_column_weight_sums_equal_the_pattern_image_count(seed):
+    rng = random.Random(seed)
+    n = 2 + seed % 13
+    mp = _random_matrix(rng, n, rng.randint(1, 24))
+    table = naive.tabulate_gens([str(g) for g in mp.generators], n)
+    for k in range(1, n + 1):
+        report = verify_diffusive(mp, k, budget=1 << 70)
+        assert list(report.per_bit_sums) == naive.pattern_image_sums(table, n, k)
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_no_linear_map_is_diffusive_at_k_equal_n(n):
+    # a nonzero column meets 2^(n-1) patterns oddly, so its sum is
+    # 2^(2n-2); the target is 2^(n-2) (2^n - 1)
+    rng = random.Random(n)
+    mp = _random_matrix(rng, n, rng.randint(1, 64))
+    report = verify_diffusive(mp, n, budget=1 << 200)
+    assert report.target == (1 << (n - 2)) * ((1 << n) - 1)
+    for b, s in enumerate(report.per_bit_sums, start=1):
+        column = any(g.value >> (mp.output_dim - b) & 1 for g in mp.generators)
+        assert s == (1 << (2 * n - 2) if column else 0)
+    assert not report.passed
 
 
 def test_constructed_62_bit_matrices_verify_from_the_cli(tmp_path, capsys):

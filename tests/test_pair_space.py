@@ -22,7 +22,6 @@ from dispdiff.bitword import diff_patterns
 
 from peakmem import peak_below
 
-CAP = "1099511627775 patterns exceed the cap of 2^28 entries"
 WIDE_K_RANGE = "k must be in 1..40, got 99"
 WIDE_BUDGET = "enumeration of 604462909806764831539200 pairs exceeds budget 0"
 K_RANGE = "k must be in 1..6, got 7"
@@ -48,11 +47,9 @@ def _refusal(verify, map_, k, budget):
 
 @pytest.mark.parametrize("verify", [verify_dispersive, verify_diffusive])
 def test_refusal_order(verify):
-    # k before the budget, the budget before the pattern cap; no table
-    # cap for a matrix
+    # k before the budget; no table or pattern cap for a matrix
     assert _refusal(verify, WIDE, 99, 0) == WIDE_K_RANGE
     assert _refusal(verify, WIDE, 40, 0) == WIDE_BUDGET
-    assert _refusal(verify, WIDE, 40, 1 << 200) == CAP
     for map_ in (F6, tabulate(F6)):
         assert _refusal(verify, map_, 7, 0) == K_RANGE
         assert _refusal(verify, map_, 1, 4) == BUDGET
@@ -64,19 +61,27 @@ def test_one_bit_diffusion_is_refused_before_k(map_, k):
     assert _refusal(verify_diffusive, map_, k, 0) == ONE_BIT
 
 
-@pytest.mark.parametrize("verify", [verify_dispersive, verify_diffusive])
-def test_cap_is_refused_before_patterns_are_listed(verify):
-    # 2^40 patterns at k = n, were they listed
+def test_wide_matrix_dispersion_is_decided_at_k_equal_n():
+    # 2^40 - 1 patterns, were they listed; the third, 3, maps to 00
     with peak_below():
-        assert _refusal(verify, WIDE, 40, 1 << 200) == CAP
+        report = verify_dispersive(WIDE, 40, budget=1 << 200)
+    assert report.first_violation == (BitWord(40, 0), BitWord(40, 3))
+    assert report.violation_distance == 0
+    assert not report.passed and not report.injective
 
 
-def test_enumerate_pairs_refuses_the_cap_before_patterns_are_listed():
+def test_wide_matrix_diffusion_is_decided_at_k_equal_n():
+    # column 1 meets the 2^39 odd-weight patterns oddly, column 2 none
+    with peak_below():
+        report = verify_diffusive(WIDE, 40, budget=1 << 200)
+    assert report.per_bit_sums == (2**78, 0)
+    assert not report.passed and not report.injective
+
+
+def test_enumerate_pairs_streams_patterns_at_k_equal_n():
     pairs = enumerate_pairs(PairSpec(40, 40), budget=1 << 200)
     with peak_below():
-        with pytest.raises(ValueError) as info:
-            next(pairs)
-    assert str(info.value) == CAP
+        assert next(pairs) == (BitWord(40, 0), BitWord(40, 1))
 
 
 @pytest.mark.parametrize("n", range(1, 15))
