@@ -9,6 +9,7 @@ files produce byte-identical output, regardless of --threads.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -170,7 +171,14 @@ def main(argv: list[str] | None = None) -> int:
         # exhausted" here, so remap.
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader has gone: say nothing, and point stdout at devnull so
+        # the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:  # BudgetExceededError included
         print(f"error: {exc}", file=sys.stderr)
         return 1

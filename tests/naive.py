@@ -155,3 +155,56 @@ def first_linear_witness(
     if witness is not None:
         return True, [format(v, f"0{m}b") for v in witness], False
     return False, None, examined <= budget
+
+
+# The table file format, one line at a time: the reader and writer the
+# array passes in f2linear replaced, kept with every check in its order.
+MAX_WIDTH = 64
+MAX_TABLE_BITS = 28
+
+
+def serialize_table(n: int, m: int, values: list[int]) -> str:
+    lines = [f"{n} {m}"]
+    lines.extend(f"{j:0{n}b} {v:0{m}b}" for j, v in enumerate(values))
+    return "\n".join(lines) + "\n"
+
+
+def parse_table(text: str) -> tuple[int, int, list[int]]:
+    """(n, m, outputs) of a table file, or the ValueError it earns."""
+    if not text.endswith("\n"):
+        raise ValueError("map file must end with a newline")
+    lines = text[:-1].split("\n")
+    if not lines[0]:
+        raise ValueError("empty map file")
+    parts = lines[0].split(" ")
+    try:
+        n, m = map(int, parts)
+        if [str(n), str(m)] != parts:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"bad header line: {lines[0]!r}") from None
+    if not (1 <= n <= MAX_WIDTH and 1 <= m <= MAX_WIDTH):
+        raise ValueError(f"bad dimensions in header: {lines[0]!r}")
+    if n > MAX_TABLE_BITS:
+        raise ValueError(
+            f"a table on n={n} inputs exceeds the cap of 2^{MAX_TABLE_BITS} entries"
+        )
+    size = 1 << n
+    if len(lines) != size + 1:
+        raise ValueError(f"expected {size} entries after header, got {len(lines) - 1}")
+    outputs = []
+    for j, line in enumerate(lines[1:]):
+        parts = line.split(" ")
+        if len(parts) != 2:
+            raise ValueError(f"bad table line: {line!r}")
+        inp, out = parts
+        if inp != format(j, f"0{n}b"):
+            raise ValueError(
+                f"table inputs must ascend: expected {format(j, f'0{n}b')}, got {inp!r}"
+            )
+        if not out or out.strip("01"):
+            raise ValueError(f"not a binary word: {out!r}")
+        if len(out) != m:
+            raise ValueError(f"output width {len(out)} != {m}")
+        outputs.append(int(out, 2))
+    return n, m, outputs

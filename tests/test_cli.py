@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dispdiff
 from dispdiff import g_table, serialize_truth_table
 from dispdiff.cli import main
 
@@ -269,6 +275,22 @@ class TestContract:
         capsys.readouterr()
         text = path.read_text()
         assert serialize_generator_matrix(parse_map_file(text)) == text
+
+    def test_closed_stdout_exits_one_quietly(self, tmp_path):
+        path = tmp_path / "g6.tt"
+        path.write_text(serialize_truth_table(g_table(6)))
+        src = str(Path(dispdiff.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "dispdiff.cli", "verify", "diffusive", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
     def test_identical_invocations_identical_bytes(self, g3_file, capsys):
         runs = []
