@@ -19,9 +19,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
-import numpy as np
-
-from .f2linear import TruthTableMap
+from .f2linear import TruthTableMap, np
 
 T = TypeVar("T")
 

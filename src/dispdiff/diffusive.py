@@ -18,12 +18,10 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
-import numpy as np
-
 from . import _scan
 from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, PairSpec
 from .bitword import diff_patterns, pair_space
-from .f2linear import LinearMap, TruthTableMap, table_size, transpose
+from .f2linear import LinearMap, TruthTableMap, np, table_size, transpose
 from .dispersive import build_dispersive
 
 
@@ -47,15 +45,15 @@ class DecomposedSums(NamedTuple):
 
 
 # sigma's cycle on the low pair, and each pair's place in it
-_CYCLE = np.array([0b00, 0b10, 0b11, 0b01], dtype=np.uint8)
-_PLACE = np.array([0, 3, 1, 2], dtype=np.uint8)
+_CYCLE = (0b00, 0b10, 0b11, 0b01)
+_PLACE = (0, 3, 1, 2)
 
 
 def _g_words(n: int, x: np.ndarray) -> np.ndarray:
     """g on each n-bit word of the uint64 array x, computed in x."""
-    low = _PLACE[x & 3]
+    low = np.array(_PLACE, dtype=np.uint8)[x & 3]
     x >>= 2
-    low = _CYCLE[(low + np.bitwise_count(x)) & 3]
+    low = np.array(_CYCLE, dtype=np.uint8)[(low + np.bitwise_count(x)) & 3]
     x ^= low >> 1  # the moved lead bit, then the running XOR up from it
     for shift in (1, 2, 4, 8, 16, 32):
         x ^= x << shift

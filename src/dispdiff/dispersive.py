@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _scan
 from .bitword import DEFAULT_PAIR_BUDGET, BitWord, PairSpec, _check_width
 from .bitword import _patterns, diff_patterns, pair_space
-from .f2linear import LinearMap, TruthTableMap, _images, tabulate
+from .f2linear import LinearMap, TruthTableMap, _images, np, tabulate
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,33 @@ GF(2) decides injectivity.  The module also owns the two on-disk formats
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .bitword import MAX_WIDTH, BitWord
+
+
+def _lazy_numpy():
+    """numpy, loaded on first attribute access: commands that build, read
+    or scan no truth table never import it. Package code takes `np` from
+    here (`import numpy` reads the lazy module's __spec__, loading it).
+    The load is not thread-safe before Python 3.12; a table is an array
+    before `_scan` starts workers, so it happens on the calling thread."""
+    if sys.modules.get("numpy") is not None:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,138 @@
+"""numpy loads on first truth-table use, not at `import dispdiff`.
+
+Each check runs in a fresh child interpreter, since this process has
+imported numpy already. The child runs `cli.main` on a list of commands
+and reports each one's status and output; the same commands then run in
+this process, and both must agree byte for byte, files included.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dispdiff
+from dispdiff import g_table, serialize_truth_table
+from dispdiff.cli import main
+
+SRC = str(Path(dispdiff.__file__).resolve().parent.parent)
+
+CHILD = """
+import contextlib, io, json, sys
+from dispdiff.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"runs": runs, "numpy_loaded": "numpy._core" in sys.modules}))
+"""
+
+
+def run_child(code, *args, cwd):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+
+
+def run_in_process(commands, cwd, monkeypatch, capsys):
+    monkeypatch.chdir(cwd)
+    runs = []
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        runs.append([code, captured.out, captured.err])
+    return runs
+
+
+def files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def compare(commands, tmp_path, monkeypatch, capsys, setup=lambda d: None):
+    """Run commands in a child and in process, each in its own directory;
+    return the child's report after checking that both agree."""
+    child_dir, here_dir = tmp_path / "child", tmp_path / "here"
+    for d in (child_dir, here_dir):
+        d.mkdir()
+        setup(d)
+    done = run_child(CHILD, json.dumps(commands), cwd=child_dir)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["runs"] == run_in_process(commands, here_dir, monkeypatch, capsys)
+    assert files(child_dir) == files(here_dir)
+    return report
+
+
+MATRIX_COMMANDS = [
+    ["construct", "dispersive", "--n", "9", "--out", "f9.gm"],
+    ["construct", "column-diffusive", "--n", "10", "--out", "c10.gm"],
+    ["verify", "dispersive", "f9.gm"],
+    ["verify", "dispersive", "f9.gm", "--k", "3"],
+    ["verify", "diffusive", "c10.gm"],
+    ["verify", "diffusive", "c10.gm", "--k", "3"],
+    ["explore", "--n", "5", "--k", "3", "--m-max", "8"],
+    ["info", "f9.gm"],
+    ["eval", "c10.gm", "1011001110"],
+]
+
+
+def test_matrix_and_search_commands_leave_numpy_unloaded(
+    tmp_path, monkeypatch, capsys
+):
+    report = compare(MATRIX_COMMANDS, tmp_path, monkeypatch, capsys)
+    assert [code for code, _, _ in report["runs"]] == [0, 0, 0, 1, 0, 1, 2, 0, 0]
+    assert not report["numpy_loaded"]
+
+
+TABLE_COMMANDS = [
+    ["construct", "diffusive", "--n", "6", "--out", "g6.tt"],
+    ["verify", "diffusive", "g6.tt", "--threads", "2"],
+    ["verify", "dispersive", "g6.tt", "--threads", "2"],
+    ["info", "g6.tt"],
+    ["eval", "g6.tt", "101101"],
+]
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["construct", "verify"])
+def test_table_commands_load_numpy_on_first_use(
+    first, tmp_path, monkeypatch, capsys
+):
+    # first=1 writes g6.tt beforehand, so the first load comes in the
+    # threaded verify, which must make it before any worker starts
+    text = serialize_truth_table(g_table(6))
+    setup = (lambda d: (d / "g6.tt").write_text(text)) if first else lambda d: None
+    report = compare(TABLE_COMMANDS[first:], tmp_path, monkeypatch, capsys, setup)
+    assert report["runs"][0][0] == 0
+    assert report["numpy_loaded"]
+    assert (tmp_path / "child" / "g6.tt").read_text() == text
+
+
+def test_import_after_numpy_reuses_it(tmp_path):
+    # a second, lazy numpy module would run numpy's __init__ again
+    done = run_child(
+        "import sys, numpy\n"
+        "from dispdiff import f2linear\n"
+        "print(f2linear.np is numpy is sys.modules['numpy'])\n",
+        cwd=tmp_path,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+
+def test_import_without_numpy_names_it(tmp_path):
+    done = run_child(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "try:\n"
+        "    import dispdiff\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name)\n",
+        cwd=tmp_path,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "numpy\n", "")
