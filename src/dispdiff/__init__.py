@@ -12,19 +12,10 @@ from .bitword import (
     BitWord,
     BudgetExceededError,
     PairSpec,
-    alpha,
-    beta,
-    complement,
-    concat,
     distance,
-    enumerate_pairs,
     pair_count,
-    proj,
-    sigma,
-    tau,
     weight,
     xor,
-    xor_padded,
 )
 from .dispersive import (
     DispersionReport,
@@ -77,19 +68,10 @@ __all__ = [
     "BitWord",
     "BudgetExceededError",
     "PairSpec",
-    "alpha",
-    "beta",
-    "complement",
-    "concat",
     "distance",
-    "enumerate_pairs",
     "pair_count",
-    "proj",
-    "sigma",
-    "tau",
     "weight",
     "xor",
-    "xor_padded",
     "DispersionReport",
     "build_dispersive",
     "dispersive_table",

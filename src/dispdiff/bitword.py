@@ -91,19 +91,10 @@ def _check_width(width: int) -> None:
 
 
 def xor(x: BitWord, y: BitWord) -> BitWord:
-    """Bitwise addition mod 2. Widths must match (see xor_padded)."""
+    """Bitwise addition mod 2. Widths must match."""
     if x.width != y.width:
         raise ValueError(f"width mismatch: {x.width} != {y.width}")
     return BitWord(x.width, x.value ^ y.value)
-
-
-def xor_padded(x: BitWord, y: BitWord) -> BitWord:
-    """XOR after left-padding the shorter word with zeros.
-
-    Left-padding does not change a word's integer value, so this is a
-    plain XOR at the wider width.
-    """
-    return BitWord(max(x.width, y.width), x.value ^ y.value)
 
 
 def weight(x: BitWord) -> int:
@@ -116,62 +107,6 @@ def distance(x: BitWord, y: BitWord) -> int:
     if x.width != y.width:
         raise ValueError(f"width mismatch: {x.width} != {y.width}")
     return (x.value ^ y.value).bit_count()
-
-
-def concat(x: BitWord, y: BitWord) -> BitWord:
-    """x followed by y; x occupies indices 1..x.width of the result."""
-    if x.width + y.width > MAX_WIDTH:
-        raise ValueError(
-            f"combined width {x.width + y.width} exceeds cap {MAX_WIDTH}"
-        )
-    return BitWord(x.width + y.width, (x.value << y.width) | y.value)
-
-
-def alpha(x: BitWord) -> int:
-    """The leftmost bit, as 0 or 1."""
-    return (x.value >> (x.width - 1)) & 1
-
-
-def beta(x: BitWord) -> BitWord:
-    """The word with its leftmost bit removed."""
-    if x.width < 2:
-        raise ValueError("beta needs width >= 2")
-    return BitWord(x.width - 1, x.value & ((1 << (x.width - 1)) - 1))
-
-
-def tau(x: BitWord) -> BitWord:
-    """Transpose the rightmost two bits."""
-    if x.width < 2:
-        raise ValueError("tau needs width >= 2")
-    return BitWord(x.width, _tau_int(x.value))
-
-
-def sigma(x: BitWord) -> BitWord:
-    """Flip the last bit, then transpose the last two: tau(x ^ 1).
-
-    Permutes the word space as a product of the 4-cycles
-    (x|00, x|10, x|11, x|01) over each prefix x.
-    """
-    if x.width < 2:
-        raise ValueError("sigma needs width >= 2")
-    return BitWord(x.width, _tau_int(x.value ^ 1))
-
-
-def _tau_int(v: int) -> int:
-    lo = v & 3
-    return (v & ~3) | ((lo >> 1) | ((lo & 1) << 1))
-
-
-def complement(x: BitWord) -> BitWord:
-    """Flip every bit."""
-    return BitWord(x.width, x.value ^ ((1 << x.width) - 1))
-
-
-def proj(i: int, x: BitWord) -> int:
-    """Bit i of x as an integer (index 1 = leftmost)."""
-    if not 1 <= i <= x.width:
-        raise ValueError(f"index {i} out of range 1..{x.width}")
-    return (x.value >> (x.width - i)) & 1
 
 
 @dataclass(frozen=True)
@@ -237,23 +172,3 @@ def _weight_words(width: int, w: int, _after: int = 0) -> Iterator[int]:
         v = carried | ((carried ^ v) >> 2) // low
         if v < top:
             yield v
-
-
-def enumerate_pairs(
-    spec: PairSpec,
-    *,
-    budget: int = DEFAULT_PAIR_BUDGET,
-) -> Iterator[tuple[BitWord, BitWord]]:
-    """Yield each unordered pair {x, y} with 1 <= distance <= k exactly once.
-
-    Deterministic order: the smaller element x ascending, then XOR patterns
-    in the ``_patterns`` order, streamed afresh for each x. ``pair_space``
-    makes the refusals, at the first ``next()``.
-    """
-    pair_space(spec, budget)
-    n = spec.n
-    for xv in range(1 << n):
-        for d in _patterns(n, spec.k):
-            yv = xv ^ d
-            if xv < yv:
-                yield BitWord(n, xv), BitWord(n, yv)

@@ -12,7 +12,6 @@ space is astronomically larger.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .bitword import (
     DEFAULT_PAIR_BUDGET,
@@ -60,12 +59,6 @@ def verify_k_diffusive(
 ) -> DiffusionReport:
     """verify_diffusive with k required; ``budget`` counts pairs."""
     return verify_diffusive(map_, k, budget=budget, threads=threads)
-
-
-def _semi_weight_words(m: int, after: int = 0) -> Iterator[int]:
-    """Weight-m/2 words of F2^m, ascending; with a weight-m/2 word
-    ``after``, only those greater than it."""
-    return _weight_words(m, m // 2, after)
 
 
 def search_linear_k_dispersive(
@@ -122,7 +115,7 @@ def search_linear_k_dispersive(
     def dfs() -> list[int] | None:
         nonlocal examined
         depth = len(chosen)
-        for v in _semi_weight_words(m, chosen[-1]) if chosen else (w0,):
+        for v in _weight_words(m, half, chosen[-1]) if chosen else (w0,):
             examined += 1
             if examined > budget:
                 return None

@@ -1,25 +1,17 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dispdiff import (
     BitWord,
     BudgetExceededError,
     PairSpec,
-    alpha,
-    beta,
-    complement,
-    concat,
     distance,
-    enumerate_pairs,
     pair_count,
-    proj,
-    sigma,
-    tau,
     weight,
     xor,
-    xor_padded,
 )
+from dispdiff.bitword import diff_patterns, pair_space
 
 import naive
 from peakmem import peak_below
@@ -88,17 +80,6 @@ class TestXor:
         with pytest.raises(ValueError):
             xor(W("10"), W("100"))
 
-    def test_padded_examples(self):
-        assert xor_padded(W("10"), W("1")) == W("11")
-        assert xor_padded(W("0100"), W("1")) == W("0101")
-
-    @given(words_st, words_st)
-    def test_padded_equal_widths_is_xor(self, x, y):
-        if x.width == y.width:
-            assert xor_padded(x, y) == xor(x, y)
-        else:
-            assert xor_padded(x, y).width == max(x.width, y.width)
-
     def test_abelian_group_exhaustive(self):
         # commutativity, identity and self-inverse over all of width 8;
         # associativity exhaustively at width 3 and via hypothesis below
@@ -160,105 +141,16 @@ class TestWeightDistance:
             distance(W("10"), W("100"))
 
 
-class TestStructuralOps:
-    def test_concat(self):
-        assert concat(W("10"), W("011")) == W("10011")
-        assert concat(W("0"), W("11")) == W("011")
-        assert concat(W("1"), W("1")) == W("11")
-
-    def test_concat_cap(self):
-        with pytest.raises(ValueError):
-            concat(BitWord.zeros(40), BitWord.zeros(30))
-
-    def test_alpha_beta(self):
-        assert alpha(W("101")) == 1
-        assert alpha(W("011")) == 0
-        assert alpha(W("1")) == 1
-        assert beta(W("101")) == W("01")
-        assert beta(W("0111")) == W("111")
-        assert beta(W("10")) == W("0")
-        with pytest.raises(ValueError):
-            beta(W("1"))
-
-    @given(words_st)
-    def test_alpha_beta_concat_inverse(self, x):
-        if x.width >= 2:
-            assert concat(BitWord(1, alpha(x)), beta(x)) == x
-
-    def test_tau(self):
-        assert tau(W("110")) == W("101")
-        assert tau(W("0111")) == W("0111")
-        assert tau(W("01")) == W("10")
-        with pytest.raises(ValueError):
-            tau(W("0"))
-
-    def test_sigma_examples(self):
-        assert sigma(W("0100")) == W("0110")
-        # one full cycle over the last two bits
-        assert sigma(W("0100")) == W("0110")
-        assert sigma(W("0110")) == W("0111")
-        assert sigma(W("0111")) == W("0101")
-        assert sigma(W("0101")) == W("0100")
-
-    def test_sigma_order_four(self):
-        for n in range(2, 11):
-            for v in range(1 << n):
-                x = BitWord(n, v)
-                y = sigma(sigma(sigma(sigma(x))))
-                assert y == x
-
-    def test_sigma_cycle_structure(self):
-        # sigma decomposes exactly into the 4-cycles (x|00, x|10, x|11, x|01)
-        for n in range(2, 11):
-            seen = set()
-            for prefix in range(1 << (n - 2)):
-                base = prefix << 2
-                cycle = [base, base | 2, base | 3, base | 1]
-                for cur, nxt in zip(cycle, cycle[1:] + cycle[:1]):
-                    assert sigma(BitWord(n, cur)) == BitWord(n, nxt)
-                seen.update(cycle)
-            assert len(seen) == 1 << n
-
-    def test_sigma_matches_oracle(self):
-        for n in range(2, 9):
-            for s in naive.words(n):
-                assert str(sigma(W(s))) == naive.sigma(s)
-
-    def test_beta_sigma_commute(self):
-        for n in range(3, 11):
-            for v in range(1 << n):
-                x = BitWord(n, v)
-                assert beta(sigma(x)) == sigma(beta(x))
-
-    def test_sigma_preserves_distance(self):
-        for n in (2, 5, 8):
-            for a in range(1 << n):
-                for b in range(1 << n):
-                    x, y = BitWord(n, a), BitWord(n, b)
-                    assert distance(sigma(x), sigma(y)) == distance(x, y)
-
-    def test_complement(self):
-        assert complement(W("1010")) == W("0101")
-        assert complement(BitWord.zeros(5)) == BitWord.ones(5)
-        for v in range(32):
-            x = BitWord(5, v)
-            assert complement(complement(x)) == x
-
-    def test_complement_xor_identities(self):
-        for a in range(256):
-            for b in range(256):
-                x, y = BitWord(8, a), BitWord(8, b)
-                assert xor(complement(x), complement(y)) == xor(x, y)
-                assert xor(x, complement(y)) == complement(xor(x, y))
-
-    def test_proj(self):
-        assert proj(2, W("110")) == 1
-        assert proj(1, W("011")) == 0
-        assert proj(3, W("001")) == 1
-        with pytest.raises(ValueError):
-            proj(0, W("01"))
-        with pytest.raises(ValueError):
-            proj(3, W("01"))
+def _pairs(n: int, k: int) -> list[tuple[BitWord, BitWord]]:
+    # the pairs the verifiers scan: {x, x ^ d} for each pattern d, counted
+    # once at the smaller element; x ascending, then the pattern order
+    patterns = diff_patterns(n, k)
+    return [
+        (BitWord(n, x), BitWord(n, x ^ d))
+        for x in range(1 << n)
+        for d in patterns
+        if x < x ^ d
+    ]
 
 
 class TestPairEnumeration:
@@ -271,58 +163,50 @@ class TestPairEnumeration:
             PairSpec(3, 0)
 
     def test_n2_k1_exact(self):
-        pairs = {
-            (str(x), str(y)) for x, y in enumerate_pairs(PairSpec(2, 1))
-        }
+        pairs = {(str(x), str(y)) for x, y in _pairs(2, 1)}
         assert pairs == {("00", "10"), ("00", "01"), ("01", "11"), ("10", "11")}
 
     def test_n3_k1_count(self):
-        assert sum(1 for _ in enumerate_pairs(PairSpec(3, 1))) == 12
+        assert len(_pairs(3, 1)) == pair_count(PairSpec(3, 1)) == 12
 
     def test_n2_k2_all_pairs(self):
-        pairs = list(enumerate_pairs(PairSpec(2, 2)))
-        assert len(pairs) == 6
+        pairs = _pairs(2, 2)
+        assert len(pairs) == 6 == pair_count(PairSpec(2, 2))
         assert len({frozenset((x.value, y.value)) for x, y in pairs}) == 6
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_k1_count_formula(self, n):
-        got = list(enumerate_pairs(PairSpec(n, 1)))
+        got = _pairs(n, 1)
         assert len(got) == n * 2 ** (n - 1) == pair_count(PairSpec(n, 1))
         keys = {frozenset((x.value, y.value)) for x, y in got}
         assert len(keys) == len(got)
         assert all(distance(x, y) == 1 for x, y in got)
 
     def test_k1_count_n16(self):
-        count = sum(1 for _ in enumerate_pairs(PairSpec(16, 1)))
-        assert count == 16 * 2**15
+        # k = 1 patterns are the unit words, by flipped bit position
+        assert diff_patterns(16, 1) == [1 << (16 - i) for i in range(1, 17)]
+        assert pair_count(PairSpec(16, 1)) == 16 * 2**15
 
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 6), (7, 2)])
     def test_k_counts_match_oracle(self, n, k):
-        got = list(enumerate_pairs(PairSpec(n, k)))
+        got = _pairs(n, k)
         expect = naive.all_pairs(n, k)
         assert len(got) == len(expect) == pair_count(PairSpec(n, k))
         got_keys = {frozenset((str(x), str(y))) for x, y in got}
         assert got_keys == {frozenset(p) for p in expect}
 
     def test_budget_rejected(self):
+        assert pair_space(PairSpec(10, 1), 5120) == 5120
         with pytest.raises(BudgetExceededError) as exc:
-            list(enumerate_pairs(PairSpec(10, 1), budget=100))
+            pair_space(PairSpec(10, 1), 100)
         assert exc.value.estimate == 10 * 2**9
         assert "5120" in str(exc.value)
 
     def test_deterministic_order(self):
-        spec = PairSpec(4, 2)
-        a = [(str(x), str(y)) for x, y in enumerate_pairs(spec)]
-        b = [(str(x), str(y)) for x, y in enumerate_pairs(spec)]
-        assert a == b
+        a = [(str(x), str(y)) for x, y in _pairs(4, 2)]
+        assert a == [(str(x), str(y)) for x, y in _pairs(4, 2)]
         # smaller element ascending, first pairs anchored at 0000
         assert a[0][0] == "0000"
-
-
-@settings(max_examples=50)
-@given(words_st, words_st)
-def test_concat_then_split(x, y):
-    if x.width + y.width <= 64:
-        z = concat(x, y)
-        assert z.width == x.width + y.width
-        assert str(z) == str(x) + str(y)
+        assert [y for x, y in a[:10]] == [
+            format(d, "04b") for d in diff_patterns(4, 2)
+        ]

@@ -9,14 +9,12 @@ from dispdiff import (
     TruthTableMap,
     column_diffusive,
     decompose_sums,
-    concat,
     extend_output,
     format_diffusion_report,
     g_eval,
     g_table,
     quadruple_sum_check,
     serialize_truth_table,
-    sigma,
     tabulate,
     verify_diffusive,
     verify_dispersive,
@@ -64,15 +62,15 @@ class TestGEval:
         # 1-prefixed inputs complement it after the last-two-bits cycle
         for n in range(3, 8):
             for v in range(1 << (n - 1)):
-                x = BitWord(n - 1, v)
-                y = g_eval(n - 1, x)
+                y = g_eval(n - 1, BitWord(n - 1, v))
                 lead = y.value >> (n - 2)
-                got0 = g_eval(n, concat(BitWord(1, 0), x))
-                assert got0 == concat(BitWord(1, lead), y)
-                z = g_eval(n - 1, sigma(x))
+                got0 = g_eval(n, BitWord(n, v))
+                assert got0 == BitWord(n, lead << (n - 1) | y.value)
+                sv = int(naive.sigma(format(v, f"0{n - 1}b")), 2)
+                z = g_eval(n - 1, BitWord(n - 1, sv))
                 zlead = 1 ^ (z.value >> (n - 2))
-                got1 = g_eval(n, concat(BitWord(1, 1), x))
-                assert got1 == concat(BitWord(1, zlead), z)
+                got1 = g_eval(n, BitWord(n, (1 << (n - 1)) | v))
+                assert got1 == BitWord(n, zlead << (n - 1) | z.value)
 
 
 class TestGTable:
@@ -348,12 +346,29 @@ class TestDecomposeSums:
 
 
 class TestStructuralIdentities:
+    def test_oracle_sigma_cycle_structure(self):
+        # the recursion's sigma is the product of the 4-cycles
+        # (x|00, x|10, x|11, x|01) over each prefix x
+        for n in range(2, 11):
+            seen = set()
+            for prefix in range(1 << (n - 2)):
+                base = prefix << 2
+                cycle = [base, base | 2, base | 3, base | 1]
+                for cur, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+                    assert naive.sigma(format(cur, f"0{n}b")) == format(
+                        nxt, f"0{n}b"
+                    )
+                seen.update(cycle)
+            assert len(seen) == 1 << n
+
     @pytest.mark.parametrize("n", range(3, 11))
     def test_conjugation_identity(self, n):
         # images of 1-prefixed pairs equal images of sigma'd 0-prefixed pairs
         half = 1 << (n - 1)
         t = [w.value for w in g_table(n).table]
-        via_sigma = [t[sigma(BitWord(n, a)).value] for a in range(half)]
+        via_sigma = [
+            t[int(naive.sigma(format(a, f"0{n}b")), 2)] for a in range(half)
+        ]
         for a in range(half):
             for b in range(half):
                 assert t[half | a] ^ t[half | b] == via_sigma[a] ^ via_sigma[b]

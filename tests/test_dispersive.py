@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +12,10 @@ from dispdiff import (
     dispersive_table,
     even_weight_obstruction_check,
     format_dispersion_report,
+    min_linear_dim_k,
     min_output_dim,
     normalize_to_zero,
+    parse_map_file,
     rank,
     semi_weight_generators,
     tabulate,
@@ -273,6 +276,35 @@ class TestLinearImpossibilityAtFour:
         assert not any(
             naive.rank_closure(list(t)) == 4 for t in product(vecs, repeat=4)
         )
+
+
+class TestNonlinearWitness:
+    """A nonlinear 2-dispersive map 7 -> 8, narrower than any linear one."""
+
+    W7_8 = parse_map_file(
+        (Path(__file__).parent / "data" / "w7_8.tt").read_text()
+    )
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_restrictions_are_k_dispersive(self, n, k):
+        # the first 2^n entries are the map on inputs with a zero prefix
+        table = TruthTableMap(n, 8, self.W7_8.values[: 1 << n])
+        assert verify_dispersive(table, k).passed
+
+    def test_fails_at_k3(self):
+        report = verify_dispersive(self.W7_8, 3)
+        assert report.first_violation == (BitWord(7, 0), BitWord(7, 0b1011))
+        assert report.violation_distance == 2
+        assert report.injective and not report.passed
+
+    def test_injective(self):
+        assert self.W7_8.is_injective()
+        assert len(set(self.W7_8.values.tolist())) == 128
+
+    def test_linear_minimum_is_wider(self):
+        # the linear minimum at (5, 2) is 12; the restriction above has 8
+        assert min_linear_dim_k(5, 2, 12) == 12
 
 
 class TestReportFormatting:

@@ -22,8 +22,8 @@ from dispdiff import (
     verify_k_dispersive,
     verify_k_diffusive,
 )
-from dispdiff.bitword import diff_patterns
-from dispdiff.explorer import SearchOutcome, _semi_weight_words
+from dispdiff.bitword import _weight_words, diff_patterns
+from dispdiff.explorer import SearchOutcome
 
 import naive
 from peakmem import peak_below
@@ -242,13 +242,13 @@ class TestSearch:
     @pytest.mark.parametrize("m", range(2, 17, 2))
     def test_candidate_stream_is_ascending_semi_weight(self, m):
         expected = [v for v in range(1 << m) if v.bit_count() == m // 2]
-        assert list(_semi_weight_words(m)) == expected
+        assert list(_weight_words(m, m // 2)) == expected
 
     @pytest.mark.parametrize("m", range(2, 13, 2))
     def test_candidate_stream_after_a_word_holds_the_larger_words(self, m):
-        words = list(_semi_weight_words(m))
+        words = list(_weight_words(m, m // 2))
         for i, w in enumerate(words):
-            assert list(_semi_weight_words(m, w)) == words[i + 1:]
+            assert list(_weight_words(m, m // 2, w)) == words[i + 1:]
 
     @pytest.mark.parametrize("m", range(2, 11, 2))
     def test_dimension_check_matches_span_rule(self, m):

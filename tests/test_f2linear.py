@@ -9,8 +9,6 @@ from dispdiff import (
     LinearMap,
     TruthTableMap,
     apply,
-    enumerate_pairs,
-    PairSpec,
     parse_generator_matrix,
     parse_map_file,
     parse_truth_table,
@@ -97,10 +95,12 @@ class TestApply:
         for _ in range(10):
             n = rng.randint(2, 8)
             mp = random_map(rng, n, rng.randint(1, 8))
-            for x, y in enumerate_pairs(PairSpec(n, 1)):
-                i = (x.value ^ y.value).bit_length()
-                gen = mp.generators[n - i]
-                assert xor(apply(mp, x), apply(mp, y)) == gen
+            for v in range(1 << n):
+                x = BitWord(n, v)
+                for i in range(1, n + 1):
+                    y = xor(x, BitWord.unit(n, i))
+                    gen = mp.generators[i - 1]
+                    assert xor(apply(mp, x), apply(mp, y)) == gen
 
 
 class TestRank:

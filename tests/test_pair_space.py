@@ -8,11 +8,9 @@ import pytest
 from dispdiff import (
     BitWord,
     LinearMap,
-    PairSpec,
     TruthTableMap,
     build_dispersive,
     column_diffusive,
-    enumerate_pairs,
     parse_map_file,
     tabulate,
     verify_diffusive,
@@ -76,12 +74,6 @@ def test_wide_matrix_diffusion_is_decided_at_k_equal_n():
         report = verify_diffusive(WIDE, 40, budget=1 << 200)
     assert report.per_bit_sums == (2**78, 0)
     assert not report.passed and not report.injective
-
-
-def test_enumerate_pairs_streams_patterns_at_k_equal_n():
-    pairs = enumerate_pairs(PairSpec(40, 40), budget=1 << 200)
-    with peak_below():
-        assert next(pairs) == (BitWord(40, 0), BitWord(40, 1))
 
 
 @pytest.mark.parametrize("n", range(1, 15))
