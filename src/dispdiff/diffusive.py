@@ -109,7 +109,7 @@ def verify_diffusive(
     target = npairs // 2
     if isinstance(map_, LinearMap):
         ij = [(i, j) for j in range(1, k + 1) for i in range(1, j + 1, 2)]
-        gens = [g.value for g in map_.generators]
+        gens = map_.generators
         weights = [sum(v >> (m - b) & 1 for v in gens) for b in range(1, m + 1)]
         odd = [sum(comb(w, i) * comb(n - w, j - i) for i, j in ij) for w in weights]
         sums = [c << (n - 1) for c in odd]

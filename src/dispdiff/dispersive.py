@@ -36,14 +36,14 @@ def min_output_dim(n: int) -> int:
     return n + (2, 1, 0, 1)[n % 4]
 
 
-def semi_weight_generators(k: int) -> list[BitWord]:
-    """A maximal independent family of width-k words of weight k/2.
+def semi_weight_generators(k: int) -> list[int]:
+    """A maximal independent family of width-k words of weight k/2, as ints.
 
     With half = k/2 and positions 1..k from the left: the runs of half
     ones starting at positions 1..half, then for i in half+1..k-1 the
     positions half..k with position i removed, then (k = 2 mod 4 only)
     1 XOR member 1 XOR member (k+2)/4. That is k - 1 members when k is
-    0 mod 4 and k when k is 2 mod 4; k = 2 gives 10 and 01.
+    0 mod 4 and k when k is 2 mod 4; k = 2 gives the ints 2 and 1.
     """
     if k < 2 or k % 2:
         raise ValueError(f"k must be even and >= 2, got {k}")
@@ -53,7 +53,7 @@ def semi_weight_generators(k: int) -> list[BitWord]:
     gens += [((run << 1) | 1) ^ (1 << (k - i)) for i in range(half + 1, k)]
     if k % 4 == 2:
         gens.append(1 ^ gens[0] ^ gens[(k + 2) // 4 - 1])
-    return [BitWord(k, v) for v in gens]
+    return gens
 
 
 def build_dispersive(n: int, target_m: int | None = None) -> LinearMap:

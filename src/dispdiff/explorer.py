@@ -13,18 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitword import (
-    DEFAULT_PAIR_BUDGET,
-    BitWord,
-    BudgetExceededError,
-    PairSpec,
-    _weight_words,
-)
+from .bitword import DEFAULT_PAIR_BUDGET, BudgetExceededError, PairSpec, _weight_words
 from .dispersive import DispersionReport, min_output_dim, verify_dispersive
 from .diffusive import DiffusionReport, verify_diffusive
 # The search ranks nothing; _rank_ints stays bound here only because
 # perfbench/tracing.py wraps it and tests/test_bench_bindings.py checks that.
-from .f2linear import LinearMap, TruthTableMap, _rank_ints, _reduce
+from .f2linear import LinearMap, TruthTableMap, _reduce, rank as _rank_ints
 
 # Each search depth streams up to C(m, m/2) candidates (10.4M at m = 26),
 # so this cap bounds time; search memory does not grow with m.
@@ -142,12 +136,9 @@ def search_linear_k_dispersive(
                 chosen.pop()
         return None
 
-    witness_values = dfs()
-    if witness_values is not None:
-        witness = LinearMap(
-            n, m, tuple(BitWord(m, v) for v in witness_values)
-        )
-        return SearchOutcome(True, witness, examined, False)
+    witness = dfs()
+    if witness is not None:
+        return SearchOutcome(True, LinearMap(n, m, tuple(witness)), examined, False)
     return SearchOutcome(False, None, examined, examined <= budget)
 
 

@@ -41,7 +41,7 @@ np = _lazy_numpy()
 class LinearMap:
     input_dim: int
     output_dim: int
-    generators: tuple[BitWord, ...]
+    generators: tuple[int, ...]  # m-bit ints; row i is the image of input bit i
 
     def __post_init__(self) -> None:
         n, m = self.input_dim, self.output_dim
@@ -50,8 +50,8 @@ class LinearMap:
         if len(self.generators) != n:
             raise ValueError(f"expected {n} generators, got {len(self.generators)}")
         for g in self.generators:
-            if g.width != m:
-                raise ValueError(f"generator width {g.width} != output dim {m}")
+            if not (isinstance(g, int) and 0 <= g < 1 << m):
+                raise ValueError(f"generator {g!r} is not an int in 0..2^{m}-1")
 
     def is_injective(self) -> bool:
         # a linear map is injective iff its generators are independent
@@ -62,8 +62,8 @@ class LinearMap:
 class TruthTableMap:
     """Explicit input -> output table for an arbitrary map between word
     spaces. ``values[j]`` is the image of the input with integer value j,
-    held as a read-only uint64 array; construct from a BitWord sequence
-    or an integer array (copied either way)."""
+    held as a read-only uint64 array, copied from the non-negative
+    integer array the map is built from."""
 
     input_dim: int
     output_dim: int
@@ -74,13 +74,9 @@ class TruthTableMap:
         if not (1 <= n <= MAX_WIDTH and 1 <= m <= MAX_WIDTH):
             raise ValueError(f"dimensions must be in 1..{MAX_WIDTH}")
         entries = self.values
-        if not isinstance(entries, np.ndarray):
-            for w in entries:
-                if w.width != m:
-                    raise ValueError(f"table entry width {w.width} != output dim {m}")
-            entries = [w.value for w in entries]
-        elif entries.dtype.kind not in "ui" or np.any(entries < 0):
-            raise ValueError("table values must be non-negative integers")
+        ok = isinstance(entries, np.ndarray) and entries.dtype.kind in "ui"
+        if not ok or np.any(entries < 0):
+            raise ValueError("table values must be a non-negative integer array")
         values = np.array(entries, dtype=np.uint64)
         if values.shape != (1 << n,):
             raise ValueError(f"table must have {1 << n} entries, got {values.size}")
@@ -94,11 +90,6 @@ class TruthTableMap:
             return NotImplemented
         same = np.array_equal(self.values, other.values)  # hence same input_dim
         return same and self.output_dim == other.output_dim
-
-    @property
-    def table(self) -> tuple[BitWord, ...]:
-        """The entries as BitWords, built on each access."""
-        return tuple(BitWord(self.output_dim, v) for v in self.values.tolist())
 
     def is_injective(self) -> bool:
         # a repeated value shows as a zero step between sorted neighbours
@@ -120,7 +111,7 @@ def apply(map_: LinearMap, x: BitWord) -> BitWord:
 def _images(map_: LinearMap, xs: Iterable[int]) -> Iterator[tuple[int, int]]:
     """Each input value x in xs with its image, as ints, one at a time."""
     n = map_.input_dim
-    gen_at = {1 << (n - i): g.value for i, g in enumerate(map_.generators, start=1)}
+    gen_at = {1 << (n - i): g for i, g in enumerate(map_.generators, start=1)}
     for x in xs:
         acc, rest = 0, x
         while rest:
@@ -130,25 +121,15 @@ def _images(map_: LinearMap, xs: Iterable[int]) -> Iterator[tuple[int, int]]:
         yield x, acc
 
 
-def rank(rows: list[BitWord] | tuple[BitWord, ...]) -> int:
-    """Rank of the row set over GF(2).
+def rank(rows: Iterable[int]) -> int:
+    """Rank of the integer rows over GF(2).
 
     Forward elimination, pivoting on the highest remaining bit (the lowest
-    word index); inputs are never mutated.
+    word index).
     """
-    if not rows:
-        return 0
-    width = rows[0].width
-    for r in rows:
-        if r.width != width:
-            raise ValueError("rows must share one width")
-    return _rank_ints(r.value for r in rows)
-
-
-def _rank_ints(values) -> int:
     pivots: dict[int, int] = {}
     r = 0
-    for v in values:
+    for v in rows:
         v = _reduce(v, pivots)
         if v:
             pivots[v.bit_length() - 1] = v
@@ -174,9 +155,9 @@ def transpose(map_: LinearMap) -> LinearMap:
     for i in range(1, n + 1):
         acc = 0
         for j, g in enumerate(map_.generators, start=1):
-            bit = (g.value >> (m - i)) & 1
+            bit = (g >> (m - i)) & 1
             acc |= bit << (n - j)
-        cols.append(BitWord(n, acc))
+        cols.append(acc)
     return LinearMap(n, m, tuple(cols))
 
 
@@ -200,7 +181,7 @@ def tabulate(map_: LinearMap) -> TruthTableMap:
     # entry j XORs in generator i iff bit n-1-i of j is set, as in apply()
     half = 1
     for g in reversed(map_.generators):
-        values[half : 2 * half] = values[:half] ^ np.uint64(g.value)
+        values[half : 2 * half] = values[:half] ^ np.uint64(g)
         half *= 2
     return TruthTableMap(n, m, values)
 
@@ -215,7 +196,7 @@ def tabulate(map_: LinearMap) -> TruthTableMap:
 
 def serialize_generator_matrix(map_: LinearMap) -> str:
     lines = [f"{map_.input_dim} {map_.output_dim}"]
-    lines.extend(str(g) for g in map_.generators)
+    lines.extend(format(g, f"0{map_.output_dim}b") for g in map_.generators)
     return "\n".join(lines) + "\n"
 
 
@@ -225,7 +206,11 @@ def parse_generator_matrix(text: str) -> LinearMap:
     n, m = _parse_header(lines[0])
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows after header, got {len(lines) - 1}")
-    return LinearMap(n, m, tuple(BitWord.parse(row) for row in lines[1:]))
+    rows = [BitWord.parse(row) for row in lines[1:]]
+    for row in rows:
+        if row.width != m:
+            raise ValueError(f"generator width {row.width} != output dim {m}")
+    return LinearMap(n, m, tuple(row.value for row in rows))
 
 
 def serialize_truth_table(map_: TruthTableMap) -> str:

@@ -246,6 +246,25 @@ class TestContract:
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 4\n0101\n01\n", "generator width 2 != output dim 4"),
+            ("2 4\n0101\n01100\n", "generator width 5 != output dim 4"),
+            ("2 4\n0101\n0a10\n", "not a binary word: '0a10'"),
+            ("2 4\n0101\n\n", "not a binary word: ''"),
+        ],
+    )
+    @pytest.mark.parametrize("argv", [["info"], ["verify", "dispersive"]])
+    def test_bad_matrix_row_is_one_error_line(
+        self, tmp_path, capsys, text, message, argv
+    ):
+        # a row is read as a word and held as an int, which has no width
+        # of its own, so the parser checks each row against m
+        path = tmp_path / "bad.gm"
+        path.write_text(text)
+        assert run(capsys, *argv, str(path)) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["diffusive", "--n", "4000000000"],

@@ -31,6 +31,7 @@ CORPUS = {
     "short.tt": b"2 2\n00 01\n01 10\n",
     "unsorted.tt": b"1 1\n1 0\n0 1\n",
     "noeol.gm": b"1 2\n10",
+    "shortrow.gm": b"2 4\n0101\n01\n",
     "empty": b"",
     "binary": b"\xff\xfe\x00\n",
 }

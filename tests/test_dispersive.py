@@ -2,6 +2,7 @@ import random
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dispdiff import (
@@ -21,16 +22,15 @@ from dispdiff import (
     tabulate,
     verify_dispersive,
     verify_dispersive_linear,
-    weight,
-    xor,
 )
 
 import naive
 
 
 def table_as_dict(table: TruthTableMap) -> dict[str, str]:
-    n = table.input_dim
-    return {format(j, f"0{n}b"): str(w) for j, w in enumerate(table.table)}
+    n, m = table.input_dim, table.output_dim
+    values = table.values.tolist()
+    return {format(j, f"0{n}b"): format(v, f"0{m}b") for j, v in enumerate(values)}
 
 
 class TestMinOutputDim:
@@ -47,17 +47,17 @@ class TestMinOutputDim:
 
 class TestSemiWeightGenerators:
     def test_k2(self):
-        assert [str(g) for g in semi_weight_generators(2)] == ["10", "01"]
+        assert semi_weight_generators(2) == [0b10, 0b01]
 
     def test_k4(self):
-        assert [str(g) for g in semi_weight_generators(4)] == [
+        assert [format(g, "04b") for g in semi_weight_generators(4)] == [
             "1100",
             "0110",
             "0101",
         ]
 
     def test_k6(self):
-        assert [str(g) for g in semi_weight_generators(6)] == [
+        assert [format(g, "06b") for g in semi_weight_generators(6)] == [
             "111000",
             "011100",
             "001110",
@@ -71,10 +71,10 @@ class TestSemiWeightGenerators:
         gens = semi_weight_generators(k)
         expected_count = k if k == 2 or k % 4 == 2 else k - 1
         assert len(gens) == expected_count
-        assert all(2 * weight(g) == k for g in gens)
+        assert all(2 * g.bit_count() == k for g in gens)
         assert rank(gens) == len(gens)
         # independence cross-checked by a different algorithm
-        assert naive.rank_closure([str(g) for g in gens]) == len(gens)
+        assert naive.rank_closure([format(g, f"0{k}b") for g in gens]) == len(gens)
 
     @pytest.mark.parametrize("k", [0, -2, 3, 5])
     def test_rejects_odd_or_nonpositive(self, k):
@@ -84,12 +84,12 @@ class TestSemiWeightGenerators:
 
 class TestBuildDispersive:
     def test_n2_is_identity(self):
-        assert [str(g) for g in build_dispersive(2).generators] == ["10", "01"]
+        assert build_dispersive(2).generators == (0b10, 0b01)
 
     def test_n3(self):
         built = build_dispersive(3)
         assert built.output_dim == 4
-        assert [str(g) for g in built.generators] == ["1100", "0110", "0101"]
+        assert [format(g, "04b") for g in built.generators] == ["1100", "0110", "0101"]
 
     def test_n5_prefix_of_k6(self):
         built = build_dispersive(5)
@@ -99,7 +99,7 @@ class TestBuildDispersive:
     def test_n1(self):
         built = build_dispersive(1)
         assert built.output_dim == 2
-        assert [str(g) for g in built.generators] == ["10"]
+        assert built.generators == (0b10,)
 
     def test_larger_even_target(self):
         built = build_dispersive(3, 8)
@@ -135,16 +135,12 @@ class TestVerifyDispersive:
         assert report.passed
 
     def test_odd_output_dim_fails(self):
-        table = TruthTableMap(
-            1, 3, (BitWord.parse("000"), BitWord.parse("111"))
-        )
+        table = TruthTableMap(1, 3, np.array([0b000, 0b111], dtype=np.uint64))
         report = verify_dispersive(table)
         assert not report.passed and not report.output_dim_even
 
     def test_non_injective_fails(self):
-        table = TruthTableMap(
-            1, 2, (BitWord.parse("00"), BitWord.parse("00"))
-        )
+        table = TruthTableMap(1, 2, np.zeros(2, dtype=np.uint64))
         report = verify_dispersive(table)
         assert not report.passed and not report.injective
 
@@ -209,10 +205,7 @@ class TestNormalizeToZero:
         assert normalize_to_zero(table) == table
 
     def test_constant_shift_of_identity(self):
-        shift = BitWord.parse("11")
-        shifted = TruthTableMap(
-            2, 2, tuple(xor(w, shift) for w in tabulate(_identity(2)).table)
-        )
+        shifted = TruthTableMap(2, 2, tabulate(_identity(2)).values ^ np.uint64(0b11))
         assert normalize_to_zero(shifted) == tabulate(_identity(2))
 
     def test_idempotent(self):
@@ -317,14 +310,11 @@ class TestReportFormatting:
 
 
 def _identity(n: int) -> LinearMap:
-    return LinearMap(
-        n, n, tuple(BitWord.unit(n, i) for i in range(1, n + 1))
-    )
+    return LinearMap(n, n, tuple(1 << (n - i) for i in range(1, n + 1)))
 
 
 def _lin(rows: list[str]) -> LinearMap:
-    gens = tuple(BitWord.parse(r) for r in rows)
-    return LinearMap(len(rows), gens[0].width, gens)
+    return LinearMap(len(rows), len(rows[0]), tuple(int(r, 2) for r in rows))
 
 
 def _random_map(rng: random.Random, n: int, m: int) -> LinearMap:
@@ -333,23 +323,20 @@ def _random_map(rng: random.Random, n: int, m: int) -> LinearMap:
     gens = []
     for _ in range(n):
         if rng.random() < 0.5:
-            gens.append(BitWord(m, rng.randrange(1 << m)))
+            gens.append(rng.randrange(1 << m))
         else:
             gens.append(_random_semi(rng, m))
     return LinearMap(n, m, tuple(gens))
 
 
-def _random_semi(rng: random.Random, m: int) -> BitWord:
+def _random_semi(rng: random.Random, m: int) -> int:
     positions = rng.sample(range(m), m // 2)
-    return BitWord(m, sum(1 << p for p in positions))
+    return sum(1 << p for p in positions)
 
 
 def _random_table(rng: random.Random, n: int, m: int) -> TruthTableMap:
-    return TruthTableMap(
-        n,
-        m,
-        tuple(BitWord(m, rng.randrange(1 << m)) for _ in range(1 << n)),
-    )
+    values = [rng.randrange(1 << m) for _ in range(1 << n)]
+    return TruthTableMap(n, m, np.array(values, dtype=np.uint64))
 
 
 def _first_violation_oracle(table, n, m):

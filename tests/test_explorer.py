@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from dispdiff import (
-    BitWord,
     BudgetExceededError,
     LinearMap,
     PairSpec,
@@ -33,9 +33,8 @@ _REFERENCE_BUDGET = 100_000
 
 
 def _random_table(rng, n, m):
-    return TruthTableMap(
-        n, m, tuple(BitWord(m, rng.randrange(1 << m)) for _ in range(1 << n))
-    )
+    values = [rng.randrange(1 << m) for _ in range(1 << n)]
+    return TruthTableMap(n, m, np.array(values, dtype=np.uint64))
 
 
 class TestVerifyKDispersive:
@@ -47,9 +46,7 @@ class TestVerifyKDispersive:
             assert verify_k_dispersive(table, 1) == verify_dispersive(table)
 
     def test_witness_2_2_4(self):
-        witness = LinearMap(
-            2, 4, (BitWord.parse("0011"), BitWord.parse("0101"))
-        )
+        witness = LinearMap(2, 4, (0b0011, 0b0101))
         report = verify_k_dispersive(tabulate(witness), 2)
         assert report.passed
         assert report.pairs_checked == 6
@@ -69,8 +66,8 @@ class TestVerifyKDispersive:
             k = rng.randint(1, n)
             table = _random_table(rng, n, 2 * rng.randint(1, 3))
             as_dict = {
-                format(j, f"0{n}b"): str(w)
-                for j, w in enumerate(table.table)
+                format(j, f"0{n}b"): format(v, f"0{table.output_dim}b")
+                for j, v in enumerate(table.values.tolist())
             }
             report = verify_k_dispersive(table, k)
             assert report.passed == naive.is_dispersive(as_dict, n, k)
@@ -119,9 +116,7 @@ class TestVerifyKDiffusive:
         assert not report.passed
 
     def test_identity2_k2(self):
-        ident = TruthTableMap(
-            2, 2, tuple(BitWord(2, v) for v in range(4))
-        )
+        ident = TruthTableMap(2, 2, np.arange(4, dtype=np.uint64))
         report = verify_k_diffusive(ident, 2)
         assert report.pairs_checked == 6
         assert report.target == Fraction(3)
@@ -135,8 +130,8 @@ class TestVerifyKDiffusive:
             k = rng.randint(1, n)
             table = _random_table(rng, n, 2 * rng.randint(1, 3))
             as_dict = {
-                format(j, f"0{n}b"): str(w)
-                for j, w in enumerate(table.table)
+                format(j, f"0{n}b"): format(v, f"0{table.output_dim}b")
+                for j, v in enumerate(table.values.tolist())
             }
             report = verify_k_diffusive(table, k)
             assert list(report.per_bit_sums) == naive.diffusion_sums(
@@ -155,7 +150,7 @@ class TestVerifyKDiffusive:
         assert pair_count(PairSpec(3, 2)) == 24
 
     def test_one_bit_inputs_rejected(self):
-        table = TruthTableMap(1, 2, (BitWord(2, 0), BitWord(2, 1)))
+        table = TruthTableMap(1, 2, np.array([0, 1], dtype=np.uint64))
         with pytest.raises(ValueError):
             verify_k_diffusive(table, 1)
 
@@ -164,7 +159,7 @@ class TestSearch:
     def test_found_2_2_4(self):
         outcome = search_linear_k_dispersive(2, 2, 4)
         assert outcome.found and not outcome.exhausted
-        gens = [str(g) for g in outcome.witness.generators]
+        gens = [format(g, "04b") for g in outcome.witness.generators]
         assert gens == ["0011", "0101"]
         # witness verified through the independent enumerative route
         assert verify_k_dispersive(tabulate(outcome.witness), 2).passed
@@ -179,7 +174,7 @@ class TestSearch:
     def test_found_1_1_2(self):
         outcome = search_linear_k_dispersive(1, 1, 2)
         assert outcome.found
-        assert [str(g) for g in outcome.witness.generators] == ["01"]
+        assert outcome.witness.generators == (0b01,)
 
     def test_exhausted_4_1_4(self):
         outcome = search_linear_k_dispersive(4, 1, 4)
@@ -194,7 +189,8 @@ class TestSearch:
                 assert not outcome.found
             else:
                 assert outcome.found
-                assert [str(g) for g in outcome.witness.generators] == brute
+                gens = [format(g, f"0{m}b") for g in outcome.witness.generators]
+                assert gens == brute
 
     def test_deterministic(self):
         a = search_linear_k_dispersive(3, 2, 6)
@@ -281,7 +277,7 @@ class TestSearch:
                 settled += 1
                 outcome = search_linear_k_dispersive(n, k, m)
                 witness = outcome.witness and [
-                    str(g) for g in outcome.witness.generators
+                    format(g, f"0{m}b") for g in outcome.witness.generators
                 ]
                 assert (outcome.found, witness, outcome.exhausted) == expected
         assert settled == cases_settled

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,18 +28,15 @@ from peakmem import peak_below
 
 
 def lin(rows: list[str]) -> LinearMap:
-    gens = tuple(BitWord.parse(r) for r in rows)
-    return LinearMap(len(rows), gens[0].width, gens)
+    return LinearMap(len(rows), len(rows[0]), tuple(int(r, 2) for r in rows))
 
 
 def identity_map(n: int) -> LinearMap:
-    return lin([str(BitWord.unit(n, i)) for i in range(1, n + 1)])
+    return LinearMap(n, n, tuple(1 << (n - i) for i in range(1, n + 1)))
 
 
 def random_map(rng: random.Random, n: int, m: int) -> LinearMap:
-    return LinearMap(
-        n, m, tuple(BitWord(m, rng.randrange(1 << m)) for _ in range(n))
-    )
+    return LinearMap(n, m, tuple(rng.randrange(1 << m) for _ in range(n)))
 
 
 F3 = ["1100", "0110", "0101"]
@@ -70,7 +68,7 @@ class TestApply:
         for _ in range(25):
             n, m = rng.randint(1, 6), rng.randint(1, 8)
             mp = random_map(rng, n, m)
-            rows = [str(g) for g in mp.generators]
+            rows = [format(g, f"0{m}b") for g in mp.generators]
             for x in naive.words(n):
                 assert str(apply(mp, BitWord.parse(x))) == naive.apply_gens(
                     rows, x
@@ -100,7 +98,7 @@ class TestApply:
                 for i in range(1, n + 1):
                     y = xor(x, BitWord.unit(n, i))
                     gen = mp.generators[i - 1]
-                    assert xor(apply(mp, x), apply(mp, y)) == gen
+                    assert xor(apply(mp, x), apply(mp, y)).value == gen
 
 
 class TestRank:
@@ -108,10 +106,10 @@ class TestRank:
         assert rank(identity_map(4).generators) == 4
 
     def test_constructed_dependency(self):
-        assert rank([BitWord.parse(r) for r in ["1100", "0110", "1010"]]) == 2
+        assert rank([0b1100, 0b0110, 0b1010]) == 2
 
     def test_example(self):
-        assert rank([BitWord.parse(r) for r in F3]) == 3
+        assert rank(lin(F3).generators) == 3
 
     def test_empty(self):
         assert rank([]) == 0
@@ -124,8 +122,7 @@ class TestRank:
                 format(rng.randrange(1 << w), f"0{w}b")
                 for _ in range(rng.randint(0, 8))
             ]
-            got = rank([BitWord.parse(r) for r in rows]) if rows else rank([])
-            assert got == naive.rank_closure(rows)
+            assert rank([int(r, 2) for r in rows]) == naive.rank_closure(rows)
 
     def test_row_rank_equals_column_rank(self):
         rng = random.Random(23)
@@ -135,7 +132,7 @@ class TestRank:
             assert rank(mp.generators) == rank(transpose(mp).generators)
 
     def test_inputs_not_mutated(self):
-        rows = [BitWord.parse(r) for r in ["1100", "0110", "1010"]]
+        rows = [0b1100, 0b0110, 0b1010]
         snapshot = list(rows)
         rank(rows)
         assert rows == snapshot
@@ -164,27 +161,27 @@ class TestTranspose:
 class TestTabulate:
     def test_identity(self):
         table = tabulate(identity_map(2))
-        assert [str(w) for w in table.table] == ["00", "01", "10", "11"]
+        assert table.values.tolist() == [0b00, 0b01, 0b10, 0b11]
 
     def test_example_entry(self):
         table = tabulate(lin(F3))
-        assert len(table.table) == 8
-        assert str(table.table[0b101]) == "1001"
+        assert len(table.values) == 8
+        assert table.values[0b101] == 0b1001
 
     def test_zero_entry(self):
         rng = random.Random(31)
         for _ in range(10):
             mp = random_map(rng, rng.randint(1, 6), rng.randint(1, 8))
-            assert tabulate(mp).table[0].value == 0
+            assert tabulate(mp).values[0] == 0
 
     def test_matches_apply_everywhere(self):
         rng = random.Random(37)
         for _ in range(10):
             n = rng.randint(1, 8)
             mp = random_map(rng, n, rng.randint(1, 8))
-            table = tabulate(mp)
+            values = tabulate(mp).values.tolist()
             for j in range(1 << n):
-                assert table.table[j] == apply(mp, BitWord(n, j))
+                assert values[j] == apply(mp, BitWord(n, j)).value
 
     def test_injective_iff_full_rank(self):
         rng = random.Random(41)
@@ -203,14 +200,6 @@ class TestTabulate:
 
 
 class TestTruthTableMap:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TruthTableMap(2, 2, (BitWord.parse("00"),))
-        with pytest.raises(ValueError):
-            TruthTableMap(
-                1, 2, (BitWord.parse("00"), BitWord.parse("011"))
-            )
-
     def test_lookup(self):
         table = tabulate(lin(F3))
         assert str(table.lookup(BitWord.parse("101"))) == "1001"
@@ -221,9 +210,7 @@ class TestTruthTableMap:
 matrix_st = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.integers(min_value=1, max_value=8).flatmap(
         lambda m: st.builds(
-            lambda vals: LinearMap(
-                n, m, tuple(BitWord(m, v) for v in vals)
-            ),
+            lambda vals: LinearMap(n, m, tuple(vals)),
             st.lists(
                 st.integers(min_value=0, max_value=2**m - 1),
                 min_size=n,
@@ -286,4 +273,16 @@ class TestFileFormats:
 def test_linear_map_dimensions_in_word_range(n, m):
     # a 65-input matrix would serialize to a header parse_map_file refuses
     with pytest.raises(ValueError, match="dimensions must be in 1..64"):
-        LinearMap(n, m, (BitWord(2, 1),) * n)
+        LinearMap(n, m, (1,) * n)
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [4, -1, BitWord(2, 1), 1.0, np.uint64(1)],
+    ids=["too-wide", "negative", "bitword", "float", "numpy"],
+)
+def test_linear_map_generators_are_m_bit_ints(gen):
+    # generators are Python ints in 0..2^m - 1; anything else is refused
+    # here, not by an AttributeError deep in rank or apply
+    with pytest.raises(ValueError, match="not an int in 0..2\\^2-1"):
+        LinearMap(1, 2, (gen,))

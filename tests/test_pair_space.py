@@ -33,7 +33,7 @@ WIDE = parse_map_file("40 2\n" + "10\n" * 40)
 F6 = build_dispersive(6)
 ONE_INPUT = [
     TruthTableMap(1, 1, np.array([0, 1], dtype=np.uint64)),
-    LinearMap(1, 1, (BitWord(1, 1),)),
+    LinearMap(1, 1, (1,)),
 ]
 
 
