@@ -11,11 +11,7 @@ from .bitword import (
     MAX_WIDTH,
     BitWord,
     BudgetExceededError,
-    PairSpec,
-    distance,
     pair_count,
-    weight,
-    xor,
 )
 from .dispersive import (
     DispersionReport,
@@ -67,11 +63,7 @@ __all__ = [
     "MAX_WIDTH",
     "BitWord",
     "BudgetExceededError",
-    "PairSpec",
-    "distance",
     "pair_count",
-    "weight",
-    "xor",
     "DispersionReport",
     "build_dispersive",
     "dispersive_table",

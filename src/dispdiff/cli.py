@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bitword import DEFAULT_PAIR_BUDGET, BitWord, BudgetExceededError, PairSpec
+from .bitword import DEFAULT_PAIR_BUDGET, BitWord, BudgetExceededError, _check_pairs
 from .dispersive import build_dispersive, format_dispersion_report
 from .diffusive import column_diffusive, format_diffusion_report, g_table
 from .explorer import (
@@ -127,7 +127,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    PairSpec(args.n, args.k)  # checks n and k even if no width is searched
+    _check_pairs(args.n, args.k)  # even if no width is searched
     total = 0
     for m in range(2, args.m_max + 1, 2):
         outcome = search_linear_k_dispersive(

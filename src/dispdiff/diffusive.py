@@ -19,8 +19,7 @@ from math import comb
 from typing import NamedTuple
 
 from . import _scan
-from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, PairSpec
-from .bitword import diff_patterns, pair_space
+from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, diff_patterns, pair_space
 from .f2linear import LinearMap, TruthTableMap, np, table_size, transpose
 from .dispersive import build_dispersive
 
@@ -105,7 +104,7 @@ def verify_diffusive(
             "no diffusive map exists on 1-bit inputs: the required per-bit "
             "sum n * 2^(n-2) is not an integer"
         )
-    npairs = pair_space(PairSpec(n, k), budget)
+    npairs = pair_space(n, k, budget)
     target = npairs // 2
     if isinstance(map_, LinearMap):
         ij = [(i, j) for j in range(1, k + 1) for i in range(1, j + 1, 2)]
@@ -115,7 +114,7 @@ def verify_diffusive(
         sums = [c << (n - 1) for c in odd]
     else:
         values = _scan.table_values(map_)
-        sums = _scan.bit_sums(values, m, diff_patterns(n, k), threads=threads)
+        sums = _scan.bit_sums(values, m, list(diff_patterns(n, k)), threads=threads)
     injective = map_.is_injective()
     passed = injective and all(s == target for s in sums)
     return DiffusionReport(
@@ -184,7 +183,7 @@ def decompose_sums(n: int, i: int) -> DecomposedSums:
         raise ValueError(f"output index {i} out of range 1..{n}")
     values = g_table(n).values
     half = 1 << (n - 1)
-    patterns = diff_patterns(n - 1, 1)
+    patterns = list(diff_patterns(n - 1, 1))
     p = _scan.bit_sums(values[:half], n, patterns)[i - 1]
     q = _scan.bit_sums(values[half:], n, patterns)[i - 1]
     # the cross pairs are exactly the top-bit pattern

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _scan
-from .bitword import DEFAULT_PAIR_BUDGET, BitWord, PairSpec, _check_width
-from .bitword import _patterns, diff_patterns, pair_space
+from .bitword import DEFAULT_PAIR_BUDGET, BitWord, _check_width
+from .bitword import diff_patterns, pair_space
 from .f2linear import LinearMap, TruthTableMap, _images, np, tabulate
 
 
@@ -101,7 +101,7 @@ def _linear_violation(map_: LinearMap, k: int) -> tuple[int, int, int] | None:
     {0, d} for the first pattern d of weight 1..k whose image is not of
     weight m/2. The pattern stream is read no further than that d."""
     m = map_.output_dim
-    images = _images(map_, _patterns(map_.input_dim, k))
+    images = _images(map_, diff_patterns(map_.input_dim, k))
     weights = ((d, f.bit_count()) for d, f in images)
     return next(((0, d, w) for d, w in weights if 2 * w != m), None)
 
@@ -122,13 +122,13 @@ def verify_dispersive(
     pattern images stopped at the first failure; no pattern is listed.
     """
     n = map_.input_dim
-    npairs = pair_space(PairSpec(n, k), budget)
+    npairs = pair_space(n, k, budget)
     if isinstance(map_, LinearMap):
         viol = _linear_violation(map_, k)
     else:
         values = _scan.table_values(map_)
         viol = _scan.first_distance_violation(
-            values, map_.output_dim, diff_patterns(n, k), threads=threads
+            values, map_.output_dim, list(diff_patterns(n, k)), threads=threads
         )
     return _dispersion_report(map_, viol, npairs)
 

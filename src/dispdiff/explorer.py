@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitword import DEFAULT_PAIR_BUDGET, BudgetExceededError, PairSpec, _weight_words
+from .bitword import DEFAULT_PAIR_BUDGET, BudgetExceededError
+from .bitword import _check_pairs, _weight_words
 from .dispersive import DispersionReport, min_output_dim, verify_dispersive
 from .diffusive import DiffusionReport, verify_diffusive
 # The search ranks nothing; _rank_ints stays bound here only because
@@ -86,7 +87,7 @@ def search_linear_k_dispersive(
     the dimension theorem rules out any dispersive map, so nothing is
     examined.
     """
-    PairSpec(n, k)  # validates n and k
+    _check_pairs(n, k)
     if m < 2 or m % 2:
         raise ValueError(f"m must be even and >= 2, got {m}")
     if m > MAX_SEARCH_WIDTH:
@@ -153,7 +154,7 @@ def min_linear_dim_k(
     None when every such m exhausts empty. ``budget`` caps the candidates
     tested at each width; a cutoff aborts (the minimum would be unproven)
     rather than skipping the width."""
-    PairSpec(n, k)  # validates n and k, even if no width is searched
+    _check_pairs(n, k)  # even if no width is searched
     for m in range(2, m_max + 1, 2):
         outcome = search_linear_k_dispersive(n, k, m, budget=budget)
         if outcome.found:

@@ -155,14 +155,14 @@ def test_criterion_9_sample_space_counting():
                     _comb(n, j) for j in range(1, k + 1)
                 )
                 assert enumerated == formula
-                assert dd.pair_count(dd.PairSpec(n, k)) == formula
-            assert dd.pair_count(dd.PairSpec(n, 1)) == n * 2 ** (n - 1)
+                assert dd.pair_count(n, k) == formula
+            assert dd.pair_count(n, 1) == n * 2 ** (n - 1)
         # brute-force enumeration cross-check at small n, with uniqueness
         for n in range(1, 8):
             for k in range(1, n + 1):
                 pairs = naive.all_pairs(n, k)
                 keys = {frozenset(p) for p in pairs}
-                assert len(keys) == len(pairs) == dd.pair_count(dd.PairSpec(n, k))
+                assert len(keys) == len(pairs) == dd.pair_count(n, k)
 
     report("criterion 9 (sample-space cardinalities, n<=12)", check)
 

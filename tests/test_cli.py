@@ -198,6 +198,17 @@ class TestExplore:
         lines = stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    def test_huge_n_k_are_checked_without_counting_pairs(self, capsys):
+        # widths 2 and 4 lie below min_output_dim(10**9): nothing is
+        # searched, and the check of n and k never builds 2^(n-1)
+        with peak_below():
+            code, stdout, _ = run(
+                capsys,
+                "explore", "--n", "1000000000", "--k", "1000000000", "--m-max", "4",
+            )
+        assert code == 2
+        assert stdout == "EXHAUSTED 0 candidates\n"
+
     def test_reproduces_min_dim(self, capsys):
         code, stdout, _ = run(
             capsys, "explore", "--n", "3", "--k", "1", "--m-max", "8"

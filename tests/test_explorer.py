@@ -8,7 +8,6 @@ import pytest
 from dispdiff import (
     BudgetExceededError,
     LinearMap,
-    PairSpec,
     TruthTableMap,
     dispersive_table,
     g_table,
@@ -77,7 +76,7 @@ class TestVerifyKDispersive:
                 assert report.violation_distance is None
                 continue
             # documented order: smaller element x, then diff_patterns index
-            pats = diff_patterns(n, k)
+            pats = list(diff_patterns(n, k))
             a, b, dist = min(
                 viols,
                 key=lambda v: (
@@ -138,16 +137,16 @@ class TestVerifyKDiffusive:
                 as_dict, n, k
             )
             assert type(report.target) is int
-            assert report.target == pair_count(PairSpec(n, k)) // 2
+            assert report.target == pair_count(n, k) // 2
 
     def test_pair_counts_even_so_targets_are_integral(self):
         # the 2^(n-1) factor makes every sample space even for n >= 2, so
         # the doubled-sum criterion coincides with an integral half
         for n in range(2, 10):
             for k in range(1, n + 1):
-                total = pair_count(PairSpec(n, k))
+                total = pair_count(n, k)
                 assert total % 2 == 0
-        assert pair_count(PairSpec(3, 2)) == 24
+        assert pair_count(3, 2) == 24
 
     def test_one_bit_inputs_rejected(self):
         table = TruthTableMap(1, 2, np.array([0, 1], dtype=np.uint64))
@@ -336,6 +335,12 @@ class TestMinLinearDim:
     def test_validates_n_and_k_with_no_width_searched(self, n, k, match):
         with pytest.raises(ValueError, match=match):
             min_linear_dim_k(n, k, 0)
+
+    def test_huge_n_k_are_checked_without_counting_pairs(self):
+        with peak_below():
+            outcome = search_linear_k_dispersive(10**9, 10**9, 4)
+            assert min_linear_dim_k(10**9, 10**9, 4) is None
+        assert outcome == SearchOutcome(False, None, 0, True)
 
 
 def _brute_force_first_witness(n, k, m):

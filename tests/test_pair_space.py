@@ -80,7 +80,7 @@ def test_wide_matrix_diffusion_is_decided_at_k_equal_n():
 def test_diff_patterns_match_the_weight_filter(n):
     for k in range(2, n + 2):
         expected = [d for d in range(1, 1 << n) if d.bit_count() <= k]
-        assert diff_patterns(n, k) == expected
+        assert list(diff_patterns(n, k)) == expected
 
 
 def test_matrices_at_the_cap_for_k_above_one():

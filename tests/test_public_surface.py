@@ -1,6 +1,8 @@
 """The package's exported names: each resolves, none twice, and the
 paper-notation word primitives stay out (``g`` is evaluated in closed
-form, and ``tests/naive.py`` holds the string recursion)."""
+form, and ``tests/naive.py`` holds the string recursion). Inside the
+library words are ints, so no word algebra stays either: ``BitWord``
+only validates, parses and prints."""
 
 import pytest
 
@@ -18,6 +20,11 @@ REMOVED = [
     "xor_padded",
     "complement",
     "enumerate_pairs",
+    "xor",
+    "weight",
+    "distance",
+    "PairSpec",
+    "_patterns",
 ]
 
 
@@ -34,3 +41,8 @@ def test_no_name_is_exported_twice():
 def test_removed_primitive_is_gone(name):
     assert not hasattr(dispdiff, name)
     assert not hasattr(dispdiff.bitword, name)
+
+
+@pytest.mark.parametrize("name", ["zeros", "ones", "unit", "__xor__"])
+def test_bitword_has_no_word_algebra(name):
+    assert not hasattr(dispdiff.BitWord, name)

@@ -59,7 +59,7 @@ def test_reports_match_oracle_at_any_worker_count(case):
     viols = naive.dispersion_violations(as_dict, n, k)
     if viols:
         # documented order: smaller element x, then diff_patterns index
-        pats = diff_patterns(n, k)
+        pats = list(diff_patterns(n, k))
         a, b, dist = min(
             viols,
             key=lambda v: (int(v[0], 2), pats.index(int(v[0], 2) ^ int(v[1], 2))),
