@@ -5,13 +5,18 @@ instead of exactly 1.  The search looks for linear witnesses only:
 canonical generator n-tuples over the target space (why they suffice is
 in ``search_linear_k_dispersive``), pruned by the requirement that every
 XOR of 1..k generators is semi-weight and that the generators stay
-independent. Exhaustion refutes only linear existence; the nonlinear
-space is astronomically larger.
+independent. Two theorems settle work before it is done: the m columns
+of a linear k-dispersive map form an orthogonal array of strength k, so
+widths that its index or the Rao bound rule out are refused unsearched;
+and once the generators span every weight-m/2 word below 2^t, no
+candidate below 2^t is tried. Exhaustion refutes only linear existence;
+the nonlinear space is astronomically larger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .bitword import DEFAULT_PAIR_BUDGET, BudgetExceededError
 from .bitword import _check_pairs, _weight_words
@@ -32,6 +37,14 @@ class SearchOutcome:
     witness: LinearMap | None
     candidates_examined: int
     exhausted: bool
+
+
+def _rao_bound(n: int, k: int) -> int:
+    """Rao's lower bound on the runs of a binary orthogonal array of
+    strength k on n factors (Hedayat-Sloane-Stufken, Thm 2.1)."""
+    e = k // 2
+    runs = sum(comb(n, i) for i in range(e + 1))
+    return runs + comb(n - 1, e) if k % 2 else runs
 
 
 def verify_k_dispersive(
@@ -81,11 +94,24 @@ def search_linear_k_dispersive(
     with w0, the smallest candidate, so the first witness does too.
     Exhaustion therefore still refutes linear existence.
 
+    Each depth skips the candidates its pivots already span. Let W_t be
+    the span of the weight-m/2 words below 2^t, for t > m/2: all of F2^t
+    when m/2 is odd, its even-weight half when m/2 is even. The chosen
+    generators have weight m/2, so their span meets F2^t inside W_t, in
+    as many dimensions as there are pivots below t. Once that count
+    reaches dim W_t, every candidate below 2^t is dependent, so the depth
+    starts past the largest weight-m/2 word below 2^t, for the largest
+    such t. That is one step per depth and nothing per candidate.
+
     ``candidates_examined`` counts the candidates of this reduced space.
     ``budget`` caps them, and with them all the work and memory of the
-    width; hitting it returns exhausted=False. Below ``min_output_dim(n)``
-    the dimension theorem rules out any dispersive map, so nothing is
-    examined.
+    width; hitting it returns exhausted=False. Nothing is examined at a
+    width that a theorem rules out: below ``min_output_dim(n)`` no
+    dispersive map exists. Nor does a linear one when 2^k does not
+    divide m, or m is below the Rao bound: a generator matrix's m columns
+    are the runs of a binary orthogonal array of strength k, since every
+    XOR d of 1..k generators is semi-weight, which makes the column
+    Walsh sum at d vanish (Hedayat-Sloane-Stufken, ch. 2).
     """
     _check_pairs(n, k)
     if m < 2 or m % 2:
@@ -95,6 +121,9 @@ def search_linear_k_dispersive(
             f"m={m} beyond search width cap {MAX_SEARCH_WIDTH}"
         )
     if m < min_output_dim(n):
+        return SearchOutcome(False, None, 0, True)
+    # here m <= MAX_SEARCH_WIDTH and n <= m, so neither term is large
+    if m % (1 << k) or m < _rao_bound(n, k):
         return SearchOutcome(False, None, 0, True)
 
     half = m // 2
@@ -107,10 +136,20 @@ def search_linear_k_dispersive(
     pivots: dict[int, int] = {}
     examined = 0
 
-    def dfs() -> list[int] | None:
+    def dfs(pivot_mask: int) -> list[int] | None:
         nonlocal examined
         depth = len(chosen)
-        for v in _weight_words(m, half, chosen[-1]) if chosen else (w0,):
+        if chosen:
+            # the largest t whose low t bit positions hold dim W_t pivots:
+            # all t of them, or all but one when half is even
+            run = pivot_mask if half % 2 else pivot_mask | (pivot_mask + 1)
+            t = (run ^ (run + 1)).bit_length() - 1
+            # w0 << (t - half) is the largest weight-half word below 2^t
+            start = max(chosen[-1], w0 << max(t - half, 0))
+            stream = _weight_words(m, half, start)
+        else:
+            stream = (w0,)
+        for v in stream:
             examined += 1
             if examined > budget:
                 return None
@@ -126,18 +165,19 @@ def search_linear_k_dispersive(
                     (size + 1, s ^ v) for size, s in sub_xors if size < k - 1
                 ]
                 sub_xors.extend(added)
-                pivots[residue.bit_length() - 1] = residue
+                lead = residue.bit_length() - 1
+                pivots[lead] = residue
                 if depth + 1 == n:
                     return list(chosen)
-                hit = dfs()
+                hit = dfs(pivot_mask | 1 << lead)
                 if hit is not None or examined > budget:
                     return hit
-                del pivots[residue.bit_length() - 1]
+                del pivots[lead]
                 del sub_xors[len(sub_xors) - len(added):]
                 chosen.pop()
         return None
 
-    witness = dfs()
+    witness = dfs(0)
     if witness is not None:
         return SearchOutcome(True, LinearMap(n, m, tuple(witness)), examined, False)
     return SearchOutcome(False, None, examined, examined <= budget)

@@ -116,6 +116,17 @@ def rank_closure(rows: list[str]) -> int:
     return len(span).bit_length() - 1
 
 
+def rao_bound(n: int, k: int) -> int:
+    """Rao's bound on the runs of a binary orthogonal array of strength k
+    on n factors, by counting words: those of weight <= k//2 in n bits,
+    plus, for odd k, those of weight k//2 in n-1 bits."""
+    e = k // 2
+    runs = sum(1 for v in range(1 << n) if v.bit_count() <= e)
+    if k % 2:
+        runs += sum(1 for v in range(1 << (n - 1)) if v.bit_count() == e)
+    return runs
+
+
 def first_linear_witness(
     n: int, k: int, m: int, budget: int
 ) -> tuple[bool, list[str] | None, bool]:

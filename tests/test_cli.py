@@ -174,11 +174,13 @@ class TestExplore:
         assert stdout == "FOUND m=4\n2 4\n0011\n0101\n"
 
     def test_exhausted(self, capsys):
+        # m = 2, 4 lie below min_output_dim(5), 4 does not divide 6, and
+        # the search refutes m = 8
         code, stdout, _ = run(
-            capsys, "explore", "--n", "2", "--k", "2", "--m-max", "2"
+            capsys, "explore", "--n", "5", "--k", "2", "--m-max", "8"
         )
         assert code == 2
-        assert stdout == "EXHAUSTED 2 candidates\n"
+        assert stdout == "EXHAUSTED 17275 candidates\n"
 
     def test_budget_cutoff_is_one_error_line(self, capsys):
         code, stdout, stderr = run(

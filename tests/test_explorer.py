@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from dispdiff import (
     min_linear_dim_k,
     min_output_dim,
     pair_count,
+    rank,
     search_linear_k_dispersive,
     tabulate,
     verify_diffusive,
@@ -164,11 +164,12 @@ class TestSearch:
         assert verify_k_dispersive(tabulate(outcome.witness), 2).passed
 
     def test_exhausted_2_2_2(self):
+        # 4 does not divide 2: the index rule refutes it unsearched
         outcome = search_linear_k_dispersive(2, 2, 2)
         assert not outcome.found
         assert outcome.exhausted
         assert outcome.witness is None
-        assert outcome.candidates_examined == 2
+        assert outcome.candidates_examined == 0
 
     def test_found_1_1_2(self):
         outcome = search_linear_k_dispersive(1, 1, 2)
@@ -204,7 +205,7 @@ class TestSearch:
                 assert report.passed
 
     def test_budget_cutoff(self):
-        outcome = search_linear_k_dispersive(3, 3, 6, budget=2)
+        outcome = search_linear_k_dispersive(3, 3, 8, budget=2)
         assert not outcome.found
         assert not outcome.exhausted
         assert outcome.candidates_examined == 3
@@ -212,11 +213,11 @@ class TestSearch:
     @pytest.mark.parametrize(
         "n, k, m, expected",
         [
-            (3, 2, 6, (False, 20, True)),
-            (4, 3, 10, (False, 252, True)),
-            (6, 2, 10, (False, 252, True)),
+            (3, 2, 6, (False, 0, True)),
+            (4, 3, 10, (False, 0, True)),
+            (6, 2, 10, (False, 0, True)),
             (4, 2, 8, (True, 42, False)),
-            (7, 1, 8, (True, 36, False)),
+            (7, 1, 8, (True, 7, False)),
         ],
     )
     def test_recorded_outcomes(self, n, k, m, expected):
@@ -283,14 +284,12 @@ class TestSearch:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_no_k2_witness_when_half_m_is_odd(self, n):
-        # two weight-m/2 generators XOR to an even weight, never m/2 odd:
-        # every word after w0 fails, and nothing deeper is tried
+        # two weight-m/2 generators XOR to an even weight, never m/2 odd;
+        # the index rule (4 does not divide m) refuses these unsearched
         for k in range(2, n + 1):
             for m in range(2, 15, 4):
                 outcome = search_linear_k_dispersive(n, k, m)
-                assert not outcome.found and outcome.exhausted
-                expected = 0 if m < min_output_dim(n) else comb(m, m // 2)
-                assert outcome.candidates_examined == expected
+                assert outcome == SearchOutcome(False, None, 0, True)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -303,15 +302,123 @@ class TestSearch:
             search_linear_k_dispersive(2, 1, 30)
 
 
+def _first_k1_witness(n, m):
+    """The lexicographically-first linear 1-dispersive n-tuple at width m
+    (m/2 = h): w0 = 2^h - 1; then w0 with one of its ones moved up to
+    position h, highest one first (the lowest is left out when h is even:
+    the span already holds it); then w0 with its top one moved to each
+    position above h."""
+    h = m // 2
+    w0 = (1 << h) - 1
+    words = [w0] + [w0 ^ 1 << i | 1 << h for i in range(h - 1, -(h % 2), -1)]
+    words += [w0 ^ 1 << (h - 1) | 1 << j for j in range(h + 1, m)]
+    return tuple(words[:n])
+
+
+class TestSpanJump:
+    @pytest.mark.parametrize("n", range(1, 26))
+    def test_k1_minimum_settles_in_n_candidates(self, n):
+        # each depth starts past the words its pivots span, so the first
+        # candidate it tries is the next generator
+        m = min_output_dim(n)
+        outcome = search_linear_k_dispersive(n, 1, m)
+        assert outcome.found and outcome.candidates_examined == n
+        gens = outcome.witness.generators
+        assert gens == _first_k1_witness(n, m)
+        assert all(g.bit_count() * 2 == m for g in gens)
+        assert rank(gens) == n
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_k1_witness_matches_unrestricted_search(self, n):
+        m = min_output_dim(n)
+        found, witness, _ = naive.first_linear_witness(n, 1, m, 10**6)
+        assert found
+        assert witness == [format(g, f"0{m}b") for g in _first_k1_witness(n, m)]
+
+    @pytest.mark.parametrize(
+        "n, m, tail",
+        [
+            (19, 20, (131583, 262655, 524799)),
+            (21, 22, (263167, 525311, 1049599)),
+        ],
+    )
+    def test_recorded_k1_witnesses(self, n, m, tail):
+        outcome = search_linear_k_dispersive(n, 1, m)
+        assert outcome.witness.generators[-len(tail):] == tail
+
+    def test_frontier_width_in_bounded_memory(self):
+        with peak_below():
+            outcome = search_linear_k_dispersive(25, 1, 26)
+        assert outcome.found and outcome.candidates_examined <= 25
+
+
+def _gated(n, k, m):
+    """True when the search refuses (n, k, m) unsearched at a width the
+    dimension theorem allows; budget=1 keeps any searched width cheap."""
+    outcome = search_linear_k_dispersive(n, k, m, budget=1)
+    return m >= min_output_dim(n) and outcome.candidates_examined == 0
+
+
+class TestWidthGates:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gated_widths_are_the_index_and_rao_refutations(self, n):
+        for k in range(1, n + 1):
+            for m in range(min_output_dim(n), 27, 2):
+                refuted = m % 2**k != 0 or m < naive.rao_bound(n, k)
+                assert _gated(n, k, m) == refuted, (n, k, m)
+
+    def test_gated_widths_have_no_reference_witness(self):
+        settled = 0
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                for m in range(2, 13, 2):
+                    if not _gated(n, k, m):
+                        continue
+                    found, _, exhausted = naive.first_linear_witness(
+                        n, k, m, _REFERENCE_BUDGET
+                    )
+                    assert not found, (n, k, m)
+                    settled += exhausted
+        assert settled == 32
+
+    def test_found_witnesses_pass_the_gates_at_full_strength(self):
+        # a witness found at k is often s-dispersive for some s > k; the
+        # theorems must hold at s too
+        found = 0
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                for m in range(2, 17, 2):
+                    outcome = search_linear_k_dispersive(
+                        n, k, m, budget=_REFERENCE_BUDGET
+                    )
+                    if not outcome.found:
+                        continue
+                    found += 1
+                    table = tabulate(outcome.witness)
+                    s = max(
+                        s for s in range(k, n + 1)
+                        if verify_k_dispersive(table, s).passed
+                    )
+                    assert m % 2**s == 0 and m >= naive.rao_bound(n, s)
+        assert found == 63
+
+    def test_rao_refutes_6_4_16(self):
+        # 2^4 divides 16, but an array of strength 4 on 6 factors needs
+        # 1 + 6 + 15 = 22 runs
+        assert naive.rao_bound(6, 4) == 22
+        outcome = search_linear_k_dispersive(6, 4, 16)
+        assert outcome == SearchOutcome(False, None, 0, True)
+
+
 class TestMinLinearDim:
     def test_examples(self):
         assert min_linear_dim_k(2, 1, 6) == 2
         assert min_linear_dim_k(2, 2, 6) == 4
         assert min_linear_dim_k(3, 1, 8) == 4
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 26))
     def test_reproduces_dimension_table(self, n):
-        assert min_linear_dim_k(n, 1, n + 4) == min_output_dim(n)
+        assert min_linear_dim_k(n, 1, min(n + 4, 26)) == min_output_dim(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_k_equals_n_minimum_is_2_to_the_n(self, n):
