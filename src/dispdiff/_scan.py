@@ -16,7 +16,6 @@ any worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 from .f2linear import TruthTableMap, np
@@ -43,6 +42,9 @@ def _run_chunked(
     ranges = chunk_bounds(total, workers)
     if len(ranges) <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
+    # imported here: serial scans and matrix commands never load it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
         return list(pool.map(lambda r: fn(*r), ranges))
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 MAX_WIDTH = 64
@@ -37,8 +36,65 @@ class BudgetExceededError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class BitWord:
+class Record:
+    """Base of the package's immutable records: a class's own annotations,
+    in order, are its fields.
+
+    It stands in for the standard library's frozen data classes: their
+    import (through ``inspect``, ``ast`` and ``dis``) and per-class code
+    generation took 14-20 ms of every command's start-up, measured as
+    about an eighth of a matrix command's 0.12-0.16 s child (2 vCPUs,
+    Python 3.11). Construction takes fields by position or keyword and
+    always calls ``__post_init__``; assigning a field raises
+    ``AttributeError`` (``object.__setattr__`` still works inside
+    ``__post_init__``). Two records are equal when they are of one class
+    with equal fields, and hash by those fields.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # strings under `from __future__ import annotations`: nothing loads
+        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        # an extra or repeated argument leaves fewer entries than arguments
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes the fields {', '.join(fields)}"
+            )
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({pairs})"
+
+
+class BitWord(Record):
     """A fixed-width binary word. Immutable and hashable."""
 
     width: int

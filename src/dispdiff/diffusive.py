@@ -14,18 +14,17 @@ bit flips in n * 2^(n-2) of the n * 2^(n-1) pairs, exactly; at distance
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
 from . import _scan
-from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, diff_patterns, pair_space
+from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, Record
+from .bitword import diff_patterns, pair_space
 from .f2linear import LinearMap, TruthTableMap, np, table_size, transpose
 from .dispersive import build_dispersive
 
 
-@dataclass(frozen=True)
-class DiffusionReport:
+class DiffusionReport(Record):
     passed: bool
     injective: bool
     per_bit_sums: tuple[int, ...]

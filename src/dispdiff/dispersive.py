@@ -11,16 +11,13 @@ or from the rank and pattern images of a generator matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _scan
-from .bitword import DEFAULT_PAIR_BUDGET, BitWord, _check_width
+from .bitword import DEFAULT_PAIR_BUDGET, BitWord, Record, _check_width
 from .bitword import diff_patterns, pair_space
 from .f2linear import LinearMap, TruthTableMap, _images, np, tabulate
 
 
-@dataclass(frozen=True)
-class DispersionReport:
+class DispersionReport(Record):
     passed: bool
     output_dim_even: bool
     injective: bool

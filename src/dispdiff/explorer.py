@@ -15,10 +15,9 @@ the nonlinear space is astronomically larger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
-from .bitword import DEFAULT_PAIR_BUDGET, BudgetExceededError
+from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BudgetExceededError, Record
 from .bitword import _check_pairs, _weight_words
 from .dispersive import DispersionReport, min_output_dim, verify_dispersive
 from .diffusive import DiffusionReport, verify_diffusive
@@ -26,13 +25,14 @@ from .diffusive import DiffusionReport, verify_diffusive
 # perfbench/tracing.py wraps it and tests/test_bench_bindings.py checks that.
 from .f2linear import LinearMap, TruthTableMap, _reduce, rank as _rank_ints
 
-# Each search depth streams up to C(m, m/2) candidates (10.4M at m = 26),
-# so this cap bounds time; search memory does not grow with m.
+# For k >= 2 each search depth streams up to C(m, m/2) candidates (10.4M
+# at m = 26), so this cap bounds time; search memory does not grow with m.
+# k = 1 is capped only by the word width: the span jump settles every
+# width in at most n candidates.
 MAX_SEARCH_WIDTH = 26
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     found: bool
     witness: LinearMap | None
     candidates_examined: int
@@ -116,13 +116,12 @@ def search_linear_k_dispersive(
     _check_pairs(n, k)
     if m < 2 or m % 2:
         raise ValueError(f"m must be even and >= 2, got {m}")
-    if m > MAX_SEARCH_WIDTH:
-        raise ValueError(
-            f"m={m} beyond search width cap {MAX_SEARCH_WIDTH}"
-        )
+    cap = MAX_WIDTH if k == 1 else MAX_SEARCH_WIDTH
+    if m > cap:
+        raise ValueError(f"m={m} beyond search width cap {cap}")
     if m < min_output_dim(n):
         return SearchOutcome(False, None, 0, True)
-    # here m <= MAX_SEARCH_WIDTH and n <= m, so neither term is large
+    # here m <= MAX_WIDTH and n <= m, so neither term is large
     if m % (1 << k) or m < _rao_bound(n, k):
         return SearchOutcome(False, None, 0, True)
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import importlib.util
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .bitword import MAX_WIDTH, BitWord
+from .bitword import MAX_WIDTH, BitWord, Record
 
 
 def _lazy_numpy():
@@ -37,8 +36,7 @@ def _lazy_numpy():
 np = _lazy_numpy()
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(Record):
     input_dim: int
     output_dim: int
     generators: tuple[int, ...]  # m-bit ints; row i is the image of input bit i
@@ -58,8 +56,7 @@ class LinearMap:
         return rank(self.generators) == self.input_dim
 
 
-@dataclass(frozen=True, eq=False)
-class TruthTableMap:
+class TruthTableMap(Record):
     """Explicit input -> output table for an arbitrary map between word
     spaces. ``values[j]`` is the image of the input with integer value j,
     held as a read-only uint64 array, copied from the non-negative

@@ -219,12 +219,21 @@ class TestExplore:
         assert stdout.startswith("FOUND m=4\n")
 
     def test_width_above_the_search_cap_is_refused(self, capsys):
-        # widths 2..26 lie below min_output_dim(29) = 30 and return at once
+        # the cap binds at k >= 2: widths 6..26 are not multiples of 2^5
+        # and return at once, then m = 28 is refused
         code, stdout, stderr = run(
-            capsys, "explore", "--n", "29", "--m-max", "30"
+            capsys, "explore", "--n", "5", "--k", "5", "--m-max", "28"
         )
         assert code == 1 and stdout == ""
         assert stderr == "error: m=28 beyond search width cap 26\n"
+
+    def test_k1_searches_up_to_the_word_width(self, capsys):
+        code, stdout, _ = run(capsys, "explore", "--n", "61", "--m-max", "62")
+        assert code == 0
+        assert stdout.startswith("FOUND m=62\n")
+        code, stdout, stderr = run(capsys, "explore", "--n", "64", "--m-max", "66")
+        assert code == 1 and stdout == ""
+        assert stderr == "error: m=66 beyond search width cap 64\n"
 
 
 class TestInfo:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import random
 
@@ -188,7 +189,8 @@ class TestVerifyDiffusive:
 
         table = g_table(4)
         serial = (verify_diffusive(table), verify_dispersive(table, 2))
-        monkeypatch.setattr(_scan, "ThreadPoolExecutor", SerialPool)
+        # _scan imports the pool only when it starts more than one worker
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(_scan.os, "cpu_count", lambda: 2)
         clamped = (
             verify_diffusive(table, threads=100_000),

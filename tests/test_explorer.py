@@ -18,6 +18,7 @@ from dispdiff import (
     tabulate,
     verify_diffusive,
     verify_dispersive,
+    verify_dispersive_linear,
     verify_k_dispersive,
     verify_k_diffusive,
 )
@@ -298,8 +299,11 @@ class TestSearch:
             search_linear_k_dispersive(2, 3, 4)
         with pytest.raises(ValueError):
             search_linear_k_dispersive(2, 1, 0)
-        with pytest.raises(ValueError):
-            search_linear_k_dispersive(2, 1, 30)
+        # the width cap: the word width at k = 1, MAX_SEARCH_WIDTH above
+        with pytest.raises(ValueError, match="cap 64"):
+            search_linear_k_dispersive(2, 1, 66)
+        with pytest.raises(ValueError, match="cap 26"):
+            search_linear_k_dispersive(2, 2, 28)
 
 
 def _first_k1_witness(n, m):
@@ -316,7 +320,8 @@ def _first_k1_witness(n, m):
 
 
 class TestSpanJump:
-    @pytest.mark.parametrize("n", range(1, 26))
+    # k = 1 is searched up to the word width, 64: min_output_dim(63) = 64
+    @pytest.mark.parametrize("n", range(1, 64))
     def test_k1_minimum_settles_in_n_candidates(self, n):
         # each depth starts past the words its pivots span, so the first
         # candidate it tries is the next generator
@@ -327,6 +332,14 @@ class TestSpanJump:
         assert gens == _first_k1_witness(n, m)
         assert all(g.bit_count() * 2 == m for g in gens)
         assert rank(gens) == n
+        assert verify_dispersive_linear(outcome.witness).passed
+
+    @pytest.mark.parametrize("n", range(1, 64))
+    def test_k1_at_the_word_width_settles_in_n_candidates(self, n):
+        outcome = search_linear_k_dispersive(n, 1, 64)
+        assert outcome.found and outcome.candidates_examined == n
+        assert outcome.witness.generators == _first_k1_witness(n, 64)
+        assert verify_dispersive_linear(outcome.witness).passed
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_k1_witness_matches_unrestricted_search(self, n):

@@ -1,4 +1,5 @@
-"""numpy loads on first truth-table use, not at `import dispdiff`.
+"""numpy loads on first truth-table use, not at `import dispdiff`, and
+a command imports no other module it does not use.
 
 Each check runs in a fresh child interpreter, since this process has
 imported numpy already. The child runs `cli.main` on a list of commands
@@ -20,7 +21,7 @@ from dispdiff.cli import main
 
 SRC = str(Path(dispdiff.__file__).resolve().parent.parent)
 
-CHILD = """
+RUN = """
 import contextlib, io, json, sys
 from dispdiff.cli import main
 runs = []
@@ -29,6 +30,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     runs.append([code, out.getvalue(), err.getvalue()])
+"""
+CHILD = RUN + """
 print(json.dumps({"runs": runs, "numpy_loaded": "numpy._core" in sys.modules}))
 """
 
@@ -136,3 +139,36 @@ def test_import_without_numpy_names_it(tmp_path):
         cwd=tmp_path,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "numpy\n", "")
+
+
+# stdlib modules no command uses: records are not data classes, and the
+# thread pool loads only when a table scan starts more than one worker
+UNUSED = ["dataclasses", "inspect", "concurrent.futures"]
+LOADED = f"""
+import json, sys
+print(json.dumps([m for m in {UNUSED!r} if m in sys.modules]))
+"""
+
+STARTUP_COMMANDS = [
+    ["construct", "dispersive", "--n", "17", "--out", "f17.gm"],
+    ["info", "f17.gm"],
+    ["verify", "dispersive", "f17.gm"],
+    ["verify", "dispersive", "f17.gm", "--k", "3"],
+    ["verify", "diffusive", "f17.gm", "--k", "3"],
+    ["explore", "--n", "20", "--m-max", "22"],
+]
+
+
+def test_matrix_and_search_commands_import_only_what_they_use(tmp_path):
+    # a module a bare interpreter already holds (a site hook's, say) is
+    # not the package's doing
+    bare = run_child(LOADED, cwd=tmp_path)
+    assert bare.returncode == 0, bare.stderr
+    codes = "print(json.dumps([[code, err] for code, _, err in runs]))"
+    done = run_child(
+        RUN + codes + LOADED, json.dumps(STARTUP_COMMANDS), cwd=tmp_path
+    )
+    assert done.returncode == 0, done.stderr
+    ran, loaded = map(json.loads, done.stdout.splitlines())
+    assert ran == [[0, ""], [0, ""], [0, ""], [1, ""], [1, ""], [0, ""]]
+    assert loaded == json.loads(bare.stdout)
