@@ -16,11 +16,9 @@ from .bitword import (
 from .dispersive import (
     DispersionReport,
     build_dispersive,
-    dispersive_table,
     even_weight_obstruction_check,
     format_dispersion_report,
     min_output_dim,
-    normalize_to_zero,
     semi_weight_generators,
     verify_dispersive,
     verify_dispersive_linear,
@@ -32,14 +30,12 @@ from .diffusive import (
     decompose_sums,
     extend_output,
     format_diffusion_report,
-    g_eval,
     g_table,
     quadruple_sum_check,
     verify_diffusive,
 )
 from .explorer import (
     SearchOutcome,
-    min_linear_dim_k,
     search_linear_k_dispersive,
     verify_k_dispersive,
     verify_k_diffusive,
@@ -66,11 +62,9 @@ __all__ = [
     "pair_count",
     "DispersionReport",
     "build_dispersive",
-    "dispersive_table",
     "even_weight_obstruction_check",
     "format_dispersion_report",
     "min_output_dim",
-    "normalize_to_zero",
     "semi_weight_generators",
     "verify_dispersive",
     "verify_dispersive_linear",
@@ -80,12 +74,10 @@ __all__ = [
     "decompose_sums",
     "extend_output",
     "format_diffusion_report",
-    "g_eval",
     "g_table",
     "quadruple_sum_check",
     "verify_diffusive",
     "SearchOutcome",
-    "min_linear_dim_k",
     "search_linear_k_dispersive",
     "verify_k_dispersive",
     "verify_k_diffusive",

@@ -18,7 +18,7 @@ from math import comb
 from typing import NamedTuple
 
 from . import _scan
-from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, Record
+from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, Record
 from .bitword import diff_patterns, pair_space
 from .f2linear import LinearMap, TruthTableMap, np, table_size, transpose
 from .dispersive import build_dispersive
@@ -59,17 +59,6 @@ def _g_words(n: int, x: np.ndarray) -> np.ndarray:
     x <<= 2
     x |= low
     return x
-
-
-def g_eval(n: int, x: BitWord) -> BitWord:
-    """g(x) in closed form: the low pair moves once round 00 -> 10 -> 11
-    -> 01 per set bit above it, and bit j >= 2 (from 0 at the right) is
-    the XOR of bits 2..j and the moved lead bit. O(log n) word operations."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if x.width != n:
-        raise ValueError(f"width mismatch: {x.width} != {n}")
-    return BitWord(n, int(_g_words(n, np.array([x.value], dtype=np.uint64))[0]))
 
 
 def g_table(n: int) -> TruthTableMap:

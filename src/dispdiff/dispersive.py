@@ -14,7 +14,7 @@ from __future__ import annotations
 from . import _scan
 from .bitword import DEFAULT_PAIR_BUDGET, BitWord, Record, _check_width
 from .bitword import diff_patterns, pair_space
-from .f2linear import LinearMap, TruthTableMap, _images, np, tabulate
+from .f2linear import LinearMap, TruthTableMap, _images, np
 
 
 class DispersionReport(Record):
@@ -146,24 +146,16 @@ def verify_dispersive_linear(map_: LinearMap) -> DispersionReport:
     return _dispersion_report(map_, viol, 0)
 
 
-def normalize_to_zero(table: TruthTableMap) -> TruthTableMap:
-    """XOR every output with the image of the all-zeros input, so zero
-    maps to zero. Pairwise output distances are unchanged."""
-    shift = table.values[0]
-    if shift == 0:
-        return table
-    return TruthTableMap(table.input_dim, table.output_dim, table.values ^ shift)
-
-
 def even_weight_obstruction_check(
     table: TruthTableMap,
     *,
     budget: int = DEFAULT_PAIR_BUDGET,
     threads: int = 1,
 ) -> bool:
-    """For a dispersive map, whether every normalized output has even
-    weight, the parity invariant that forbids square dispersive maps
-    when n is 0 mod 4 (only 2^(n-1) even-weight targets exist).
+    """For a dispersive map, whether every output XORed with the image
+    of 0 has even weight, the parity invariant that forbids square
+    dispersive maps when n is 0 mod 4 (only 2^(n-1) even-weight targets
+    exist).
 
     Holds when m/2 is even, since each single-flip step then changes an
     even number of output bits. Rejects maps that are not dispersive;
@@ -172,12 +164,8 @@ def even_weight_obstruction_check(
     report = verify_dispersive(table, budget=budget, threads=threads)
     if not report.passed:
         raise ValueError("map is not dispersive; obstruction check undefined")
-    return not np.any(np.bitwise_count(normalize_to_zero(table).values) & 1)
-
-
-def dispersive_table(n: int, target_m: int | None = None) -> TruthTableMap:
-    """Tabulated form of build_dispersive(n, target_m)."""
-    return tabulate(build_dispersive(n, target_m))
+    values = table.values
+    return not np.any(np.bitwise_count(values ^ values[0]) & 1)
 
 
 def format_dispersion_report(report: DispersionReport) -> str:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BudgetExceededError, Record
+from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, Record
 from .bitword import _check_pairs, _weight_words
 from .dispersive import DispersionReport, min_output_dim, verify_dispersive
 from .diffusive import DiffusionReport, verify_diffusive
@@ -180,26 +180,3 @@ def search_linear_k_dispersive(
     if witness is not None:
         return SearchOutcome(True, LinearMap(n, m, tuple(witness)), examined, False)
     return SearchOutcome(False, None, examined, examined <= budget)
-
-
-def min_linear_dim_k(
-    n: int,
-    k: int,
-    m_max: int,
-    *,
-    budget: int = DEFAULT_PAIR_BUDGET,
-) -> int | None:
-    """Smallest even m <= m_max with a linear k-dispersive witness, or
-    None when every such m exhausts empty. ``budget`` caps the candidates
-    tested at each width; a cutoff aborts (the minimum would be unproven)
-    rather than skipping the width."""
-    _check_pairs(n, k)  # even if no width is searched
-    for m in range(2, m_max + 1, 2):
-        outcome = search_linear_k_dispersive(n, k, m, budget=budget)
-        if outcome.found:
-            return m
-        if not outcome.exhausted:
-            raise BudgetExceededError(
-                outcome.candidates_examined, budget, what=f"candidates at m={m}"
-            )
-    return None

@@ -2,14 +2,17 @@
 printed pass/fail line each. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import io
 import random
 import time
+from contextlib import redirect_stdout
 from itertools import product
 
 import numpy as np
 import pytest
 
 import dispdiff as dd
+from dispdiff.cli import main
 
 import naive
 
@@ -170,7 +173,11 @@ def test_criterion_9_sample_space_counting():
 def test_criterion_10_explorer_reproduces_table():
     def check():
         for n in range(1, 9):
-            assert dd.min_linear_dim_k(n, 1, n + 4) == dd.min_output_dim(n)
+            out = io.StringIO()
+            with redirect_stdout(out):
+                status = main(["explore", "--n", str(n), "--m-max", str(n + 4)])
+            first = out.getvalue().splitlines()[0]
+            assert (status, first) == (0, f"FOUND m={dd.min_output_dim(n)}")
         found = dd.search_linear_k_dispersive(2, 2, 4)
         assert found.found
         assert dd.verify_k_dispersive(dd.tabulate(found.witness), 2).passed
@@ -187,7 +194,7 @@ def test_criterion_11_determinism_under_parallelism():
             parts = []
             for n in range(1, 18):
                 rep = dd.verify_dispersive(
-                    dd.dispersive_table(n), threads=threads
+                    dd.tabulate(dd.build_dispersive(n)), threads=threads
                 )
                 parts.append(f"n={n} " + dd.format_dispersion_report(rep))
             for n in range(2, 17):

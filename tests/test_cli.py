@@ -191,7 +191,7 @@ class TestExplore:
         lines = stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
-    @pytest.mark.parametrize("n, k", [("-1", "99"), ("2", "0")])
+    @pytest.mark.parametrize("n, k", [("-1", "99"), ("2", "0"), ("2", "3")])
     def test_invalid_n_k_with_no_width_searched(self, capsys, n, k):
         code, stdout, stderr = run(
             capsys, "explore", "--n", n, "--k", k, "--m-max", "0"

@@ -9,11 +9,11 @@ from dispdiff import (
     BitWord,
     LinearMap,
     TruthTableMap,
+    build_dispersive,
     column_diffusive,
     decompose_sums,
     extend_output,
     format_diffusion_report,
-    g_eval,
     g_table,
     quadruple_sum_check,
     serialize_truth_table,
@@ -21,6 +21,7 @@ from dispdiff import (
     verify_diffusive,
     verify_dispersive,
 )
+from dispdiff.diffusive import _g_words
 
 import naive
 from peakmem import peak_below
@@ -31,47 +32,50 @@ G18_SHA256 = "6addcc9e76c68944f466b3c94d43321a30e3e44506da4e53740f809c3376577a"
 
 
 class TestGEval:
+    """g read off its table, and the closed-form kernel past the table cap."""
+
     def test_base_case_identity(self):
+        table = g_table(2)
         for s in ["00", "01", "10", "11"]:
-            assert str(g_eval(2, BitWord.parse(s))) == s
+            assert str(table.lookup(BitWord.parse(s))) == s
 
     def test_hand_values(self):
-        assert str(g_eval(3, BitWord.parse("100"))) == "010"
-        assert str(g_eval(3, BitWord.parse("111"))) == "101"
+        table = g_table(3)
+        assert str(table.lookup(BitWord.parse("100"))) == "010"
+        assert str(table.lookup(BitWord.parse("111"))) == "101"
 
     def test_matches_string_oracle(self):
         for n in range(2, 9):
+            table = g_table(n)
             for s in naive.words(n):
-                assert str(g_eval(n, BitWord.parse(s))) == naive.g(s)
+                assert str(table.lookup(BitWord.parse(s))) == naive.g(s)
 
     @pytest.mark.parametrize("n", range(9, 65))
     def test_matches_string_oracle_wide(self, n):
-        # the prefix-XOR shifts of 8, 16 and 32 first matter at n = 11, 19, 35
+        # the prefix-XOR shifts of 8, 16 and 32 first matter at n = 11, 19,
+        # 35; g_table stops at n = 28, so the kernel is called directly
         rng = random.Random(n)
-        for v in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(40)]:
-            s = format(v, f"0{n}b")
-            assert str(g_eval(n, BitWord(n, v))) == naive.g(s)
+        samples = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(40)]
+        got = _g_words(n, np.array(samples, dtype=np.uint64)).tolist()
+        assert [format(v, f"0{n}b") for v in got] == [
+            naive.g(format(v, f"0{n}b")) for v in samples
+        ]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            g_eval(1, BitWord.parse("1"))
-        with pytest.raises(ValueError):
-            g_eval(3, BitWord.parse("10"))
+        for n in [1, 0, -1]:
+            with pytest.raises(ValueError, match="n must be >= 2"):
+                g_table(n)
 
     def test_recursion_structure(self):
         # 0-prefixed inputs copy the recursive image's leading bit;
         # 1-prefixed inputs complement it after the last-two-bits cycle
         for n in range(3, 8):
+            below, g = g_table(n - 1).values.tolist(), g_table(n).values.tolist()
             for v in range(1 << (n - 1)):
-                y = g_eval(n - 1, BitWord(n - 1, v))
-                lead = y.value >> (n - 2)
-                got0 = g_eval(n, BitWord(n, v))
-                assert got0 == BitWord(n, lead << (n - 1) | y.value)
-                sv = int(naive.sigma(format(v, f"0{n - 1}b")), 2)
-                z = g_eval(n - 1, BitWord(n - 1, sv))
-                zlead = 1 ^ (z.value >> (n - 2))
-                got1 = g_eval(n, BitWord(n, (1 << (n - 1)) | v))
-                assert got1 == BitWord(n, zlead << (n - 1) | z.value)
+                y = below[v]
+                assert g[v] == (y >> (n - 2)) << (n - 1) | y
+                z = below[int(naive.sigma(format(v, f"0{n - 1}b")), 2)]
+                assert g[1 << (n - 1) | v] == (1 ^ z >> (n - 2)) << (n - 1) | z
 
 
 class TestGTable:
@@ -105,12 +109,6 @@ class TestGTable:
         with peak_below(3 * (8 << 20) + (1 << 20)):
             g_table(20)
 
-    def test_matches_g_eval(self):
-        for n in range(2, 8):
-            table = g_table(n)
-            for j in range(1 << n):
-                assert table.lookup(BitWord(n, j)) == g_eval(n, BitWord(n, j))
-
     @pytest.mark.parametrize("n", [29, 4_000_000_000])
     def test_table_cap(self, n):
         with peak_below(), pytest.raises(ValueError, match=f"n={n} .* 2\\^28"):
@@ -133,9 +131,7 @@ class TestVerifyDiffusive:
         assert report.pairs_checked == 12
 
     def test_f3_tabulated_is_not_diffusive(self):
-        from dispdiff import dispersive_table
-
-        report = verify_diffusive(dispersive_table(3))
+        report = verify_diffusive(tabulate(build_dispersive(3)))
         assert report.per_bit_sums == (4, 12, 4, 4)
         assert report.target == 6
         assert not report.passed
@@ -420,9 +416,8 @@ class TestReportFormatting:
         assert text == "bit 1: 6/6\nbit 2: 6/6\nbit 3: 6/6\nPASS"
 
     def test_fail_text(self):
-        from dispdiff import dispersive_table
-
-        text = format_diffusion_report(verify_diffusive(dispersive_table(3)))
+        table = tabulate(build_dispersive(3))
+        text = format_diffusion_report(verify_diffusive(table))
         assert text.splitlines() == [
             "bit 1: 4/6",
             "bit 2: 12/6",

@@ -10,12 +10,9 @@ from dispdiff import (
     LinearMap,
     TruthTableMap,
     build_dispersive,
-    dispersive_table,
     even_weight_obstruction_check,
     format_dispersion_report,
-    min_linear_dim_k,
     min_output_dim,
-    normalize_to_zero,
     parse_map_file,
     rank,
     semi_weight_generators,
@@ -23,6 +20,7 @@ from dispdiff import (
     verify_dispersive,
     verify_dispersive_linear,
 )
+from dispdiff.cli import main
 
 import naive
 
@@ -117,7 +115,7 @@ class TestBuildDispersive:
 
 class TestVerifyDispersive:
     def test_constructed_n3(self):
-        report = verify_dispersive(dispersive_table(3))
+        report = verify_dispersive(tabulate(build_dispersive(3)))
         assert report.passed
         assert report.pairs_checked == 12
         assert report.injective and report.output_dim_even
@@ -200,48 +198,39 @@ class TestVerifyDispersiveLinear:
 
 
 class TestNormalizeToZero:
-    def test_already_normalized(self):
-        table = dispersive_table(3)
-        assert normalize_to_zero(table) == table
-
-    def test_constant_shift_of_identity(self):
-        shifted = TruthTableMap(2, 2, tabulate(_identity(2)).values ^ np.uint64(0b11))
-        assert normalize_to_zero(shifted) == tabulate(_identity(2))
-
-    def test_idempotent(self):
-        rng = random.Random(109)
-        for _ in range(20):
-            table = _random_table(rng, rng.randint(1, 5), rng.randint(1, 6))
-            once = normalize_to_zero(table)
-            assert normalize_to_zero(once) == once
-
     def test_translation_invariance_of_reports(self):
         rng = random.Random(113)
         for _ in range(30):
             n = rng.randint(1, 5)
             table = _random_table(rng, n, 2 * rng.randint(1, 3))
-            assert verify_dispersive(table) == verify_dispersive(
-                normalize_to_zero(table)
-            )
+            values = table.values
+            shifted = TruthTableMap(n, table.output_dim, values ^ values[0])
+            assert verify_dispersive(table) == verify_dispersive(shifted)
 
 
 class TestEvenWeightObstruction:
     def test_constructed_n3_all_even(self):
-        assert even_weight_obstruction_check(dispersive_table(3)) is True
+        assert even_weight_obstruction_check(tabulate(build_dispersive(3))) is True
 
     def test_constructed_n7_all_even(self):
-        assert even_weight_obstruction_check(dispersive_table(7)) is True
+        assert even_weight_obstruction_check(tabulate(build_dispersive(7))) is True
 
     def test_constructed_n6_has_odd_outputs(self):
         # m = 6 steps have odd weight, so images at odd distance from the
         # origin are odd-weight: the parity invariant only binds when m/2
         # is even
-        assert even_weight_obstruction_check(dispersive_table(6)) is False
+        assert even_weight_obstruction_check(tabulate(build_dispersive(6))) is False
 
     def test_identity2(self):
         assert (
             even_weight_obstruction_check(tabulate(_identity(2))) is False
         )
+
+    def test_outputs_are_shifted_by_the_image_of_zero(self):
+        # XOR with an odd-weight word makes every output odd; the check
+        # measures each output against f(0), so the verdict is unchanged
+        values = tabulate(build_dispersive(3)).values ^ np.uint64(0b0001)
+        assert even_weight_obstruction_check(TruthTableMap(3, 4, values)) is True
 
     def test_rejects_non_dispersive(self):
         with pytest.raises(ValueError):
@@ -250,13 +239,13 @@ class TestEvenWeightObstruction:
     @pytest.mark.parametrize("n", [3, 7, 11])
     def test_all_even_whenever_half_dim_is_even(self, n):
         # the minimum output dim is 0 mod 4 exactly when n is 3 mod 4
-        table = dispersive_table(n)
+        table = tabulate(build_dispersive(n))
         assert table.output_dim % 4 == 0
         assert even_weight_obstruction_check(table) is True
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_odd_outputs_when_half_dim_is_odd(self, n):
-        table = dispersive_table(n)
+        table = tabulate(build_dispersive(n))
         assert table.output_dim % 4 == 2
         assert even_weight_obstruction_check(table) is False
 
@@ -295,14 +284,17 @@ class TestNonlinearWitness:
         assert self.W7_8.is_injective()
         assert len(set(self.W7_8.values.tolist())) == 128
 
-    def test_linear_minimum_is_wider(self):
+    def test_linear_minimum_is_wider(self, capsys):
         # the linear minimum at (5, 2) is 12; the restriction above has 8
-        assert min_linear_dim_k(5, 2, 12) == 12
+        status = main(["explore", "--n", "5", "--k", "2", "--m-max", "12"])
+        assert status == 0
+        assert capsys.readouterr().out.splitlines()[0] == "FOUND m=12"
 
 
 class TestReportFormatting:
     def test_pass_line(self):
-        assert format_dispersion_report(verify_dispersive(dispersive_table(3))) == "PASS"
+        report = verify_dispersive(tabulate(build_dispersive(3)))
+        assert format_dispersion_report(report) == "PASS"
 
     def test_fail_line(self):
         report = verify_dispersive(tabulate(_identity(4)))

@@ -8,9 +8,8 @@ from dispdiff import (
     BudgetExceededError,
     LinearMap,
     TruthTableMap,
-    dispersive_table,
+    build_dispersive,
     g_table,
-    min_linear_dim_k,
     min_output_dim,
     pair_count,
     rank,
@@ -23,6 +22,7 @@ from dispdiff import (
     verify_k_diffusive,
 )
 from dispdiff.bitword import _weight_words, diff_patterns
+from dispdiff.cli import main
 from dispdiff.explorer import SearchOutcome
 
 import naive
@@ -52,7 +52,7 @@ class TestVerifyKDispersive:
         assert report.pairs_checked == 6
 
     def test_f6_at_k2_recorded_failure(self):
-        report = verify_k_dispersive(dispersive_table(6), 2)
+        report = verify_k_dispersive(tabulate(build_dispersive(6)), 2)
         assert not report.passed
         assert report.pairs_checked == 672
         x, y = report.first_violation
@@ -423,43 +423,41 @@ class TestWidthGates:
         assert outcome == SearchOutcome(False, None, 0, True)
 
 
+def _explore(capsys, n, k, m_max):
+    """Exit status and first stdout line of `dispdiff explore`."""
+    argv = ["explore", "--n", str(n), "--k", str(k), "--m-max", str(m_max)]
+    status = main(argv)
+    return status, capsys.readouterr().out.splitlines()[0]
+
+
 class TestMinLinearDim:
-    def test_examples(self):
-        assert min_linear_dim_k(2, 1, 6) == 2
-        assert min_linear_dim_k(2, 2, 6) == 4
-        assert min_linear_dim_k(3, 1, 8) == 4
+    """Minimal linear widths, found by `dispdiff explore`'s width loop."""
+
+    def test_examples(self, capsys):
+        assert _explore(capsys, 2, 1, 6) == (0, "FOUND m=2")
+        assert _explore(capsys, 2, 2, 6) == (0, "FOUND m=4")
+        assert _explore(capsys, 3, 1, 8) == (0, "FOUND m=4")
 
     @pytest.mark.parametrize("n", range(1, 26))
-    def test_reproduces_dimension_table(self, n):
-        assert min_linear_dim_k(n, 1, min(n + 4, 26)) == min_output_dim(n)
+    def test_reproduces_dimension_table(self, n, capsys):
+        found = _explore(capsys, n, 1, min(n + 4, 26))
+        assert found == (0, f"FOUND m={min_output_dim(n)}")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_k_equals_n_minimum_is_2_to_the_n(self, n):
+    def test_k_equals_n_minimum_is_2_to_the_n(self, n, capsys):
         # every nonzero XOR of the generators must be semi-weight, so the
         # m columns of the generator matrix cover F2^n evenly and 2^n | m
-        assert min_linear_dim_k(n, n, 2**n) == 2**n
+        assert _explore(capsys, n, n, 2**n) == (0, f"FOUND m={2**n}")
 
-    def test_5_3_minimum_is_16(self):
-        assert min_linear_dim_k(5, 3, 16) == 16
+    def test_5_3_minimum_is_16(self, capsys):
+        assert _explore(capsys, 5, 3, 16) == (0, "FOUND m=16")
 
-    def test_none_when_out_of_range(self):
-        assert min_linear_dim_k(2, 2, 2) is None
-
-    def test_budget_propagates(self):
-        with pytest.raises(BudgetExceededError):
-            min_linear_dim_k(3, 3, 8, budget=2)
-
-    @pytest.mark.parametrize(
-        "n, k, match", [(-1, 99, "n must be >= 1"), (2, 3, "k must be in 1..2")]
-    )
-    def test_validates_n_and_k_with_no_width_searched(self, n, k, match):
-        with pytest.raises(ValueError, match=match):
-            min_linear_dim_k(n, k, 0)
+    def test_none_when_out_of_range(self, capsys):
+        assert _explore(capsys, 2, 2, 2) == (2, "EXHAUSTED 0 candidates")
 
     def test_huge_n_k_are_checked_without_counting_pairs(self):
         with peak_below():
             outcome = search_linear_k_dispersive(10**9, 10**9, 4)
-            assert min_linear_dim_k(10**9, 10**9, 4) is None
         assert outcome == SearchOutcome(False, None, 0, True)
 
 
@@ -495,6 +493,6 @@ MIN_LINEAR_WIDTHS = {
 
 
 @pytest.mark.parametrize("n", sorted(MIN_LINEAR_WIDTHS))
-def test_minimal_linear_widths_are_pinned(n):
+def test_minimal_linear_widths_are_pinned(n, capsys):
     for k, m in enumerate(MIN_LINEAR_WIDTHS[n], start=1):
-        assert min_linear_dim_k(n, k, m) == m, (n, k)
+        assert _explore(capsys, n, k, m) == (0, f"FOUND m={m}"), (n, k)

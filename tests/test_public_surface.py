@@ -25,6 +25,10 @@ REMOVED = [
     "distance",
     "PairSpec",
     "_patterns",
+    "dispersive_table",
+    "normalize_to_zero",
+    "g_eval",
+    "min_linear_dim_k",
 ]
 
 
