@@ -43,7 +43,6 @@ from .explorer import (
 from .f2linear import (
     LinearMap,
     TruthTableMap,
-    apply,
     parse_generator_matrix,
     parse_map_file,
     parse_truth_table,
@@ -83,7 +82,6 @@ __all__ = [
     "verify_k_diffusive",
     "LinearMap",
     "TruthTableMap",
-    "apply",
     "parse_generator_matrix",
     "parse_map_file",
     "parse_truth_table",

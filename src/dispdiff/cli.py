@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bitword import DEFAULT_PAIR_BUDGET, BitWord, BudgetExceededError, _check_pairs
+from .bitword import DEFAULT_PAIR_BUDGET, BitWord, _check_pairs
 from .dispersive import build_dispersive, format_dispersion_report
 from .diffusive import column_diffusive, format_diffusion_report, g_table
 from .explorer import (
@@ -23,7 +23,6 @@ from .explorer import (
 )
 from .f2linear import (
     LinearMap,
-    apply,
     parse_map_file,
     rank,
     serialize_generator_matrix,
@@ -105,11 +104,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     map_ = parse_map_file(Path(args.map_file).read_text())
-    word = BitWord.parse(args.input)
-    if isinstance(map_, LinearMap):
-        print(apply(map_, word))
-    else:
-        print(map_.lookup(word))
+    print(map_.lookup(BitWord.parse(args.input)))
     return 0
 
 
@@ -138,10 +133,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             print(f"FOUND m={m}")
             sys.stdout.write(serialize_generator_matrix(outcome.witness))
             return 0
-        if not outcome.exhausted:
-            raise BudgetExceededError(
-                outcome.candidates_examined, args.budget, what=f"candidates at m={m}"
-            )
     print(f"EXHAUSTED {total} candidates")
     return 2
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from . import _scan
 from .bitword import DEFAULT_PAIR_BUDGET, BitWord, Record, _check_width
-from .bitword import diff_patterns, pair_space
+from .bitword import _check_pairs, diff_patterns, pair_space
 from .f2linear import LinearMap, TruthTableMap, _images, np
 
 
 class DispersionReport(Record):
     passed: bool
-    output_dim_even: bool
     injective: bool
     first_violation: tuple[BitWord, BitWord] | None
     violation_distance: int | None
@@ -28,8 +27,7 @@ class DispersionReport(Record):
 
 def min_output_dim(n: int) -> int:
     """Smallest output dimension admitting a dispersive map from n bits."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_pairs(n, 1)
     return n + (2, 1, 0, 1)[n % 4]
 
 
@@ -81,11 +79,9 @@ def _dispersion_report(
     if violation is not None:
         x, d, dist = violation
         pair = (BitWord(map_.input_dim, x), BitWord(map_.input_dim, x ^ d))
-    even = map_.output_dim % 2 == 0
     injective = map_.is_injective()
     return DispersionReport(
-        passed=even and injective and violation is None,
-        output_dim_even=even,
+        passed=injective and violation is None,
         injective=injective,
         first_violation=pair,
         violation_distance=dist,
@@ -112,8 +108,8 @@ def verify_dispersive(
 ) -> DispersionReport:
     """Check dispersion over every input pair at distance 1..k.
 
-    Passes iff the output dimension is even, the map is injective, and
-    each pair lands at output distance exactly m/2. The first failing
+    Passes iff the map is injective and each pair lands at output
+    distance exactly m/2, so never when m is odd. The first failing
     pair in (x, pattern) order is reported. ``pair_space`` makes the
     refusals. A generator matrix gets its table's report from a stream of
     pattern images stopped at the first failure; no pattern is listed.
@@ -146,23 +142,16 @@ def verify_dispersive_linear(map_: LinearMap) -> DispersionReport:
     return _dispersion_report(map_, viol, 0)
 
 
-def even_weight_obstruction_check(
-    table: TruthTableMap,
-    *,
-    budget: int = DEFAULT_PAIR_BUDGET,
-    threads: int = 1,
-) -> bool:
+def even_weight_obstruction_check(table: TruthTableMap) -> bool:
     """For a dispersive map, whether every output XORed with the image
     of 0 has even weight, the parity invariant that forbids square
     dispersive maps when n is 0 mod 4 (only 2^(n-1) even-weight targets
     exist).
 
     Holds when m/2 is even, since each single-flip step then changes an
-    even number of output bits. Rejects maps that are not dispersive;
-    ``budget`` caps the pairs of that dispersion check.
+    even number of output bits. Rejects maps that are not dispersive.
     """
-    report = verify_dispersive(table, budget=budget, threads=threads)
-    if not report.passed:
+    if not verify_dispersive(table).passed:
         raise ValueError("map is not dispersive; obstruction check undefined")
     values = table.values
     return not np.any(np.bitwise_count(values ^ values[0]) & 1)
@@ -175,6 +164,4 @@ def format_dispersion_report(report: DispersionReport) -> str:
     if report.first_violation is not None:
         x, y = report.first_violation
         return f"FAIL {{{x},{y}}} {report.violation_distance}"
-    if not report.output_dim_even:
-        return "FAIL odd output dimension"
     return "FAIL not injective"

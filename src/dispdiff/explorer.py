@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, Record
+from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BudgetExceededError, Record
 from .bitword import _check_pairs, _weight_words
 from .dispersive import DispersionReport, min_output_dim, verify_dispersive
 from .diffusive import DiffusionReport, verify_diffusive
@@ -36,7 +36,6 @@ class SearchOutcome(Record):
     found: bool
     witness: LinearMap | None
     candidates_examined: int
-    exhausted: bool
 
 
 def _rao_bound(n: int, k: int) -> int:
@@ -105,7 +104,8 @@ def search_linear_k_dispersive(
 
     ``candidates_examined`` counts the candidates of this reduced space.
     ``budget`` caps them, and with them all the work and memory of the
-    width; hitting it returns exhausted=False. Nothing is examined at a
+    width: the candidate past it raises ``BudgetExceededError``, so an
+    outcome that is not found refutes the width. Nothing is examined at a
     width that a theorem rules out: below ``min_output_dim(n)`` no
     dispersive map exists. Nor does a linear one when 2^k does not
     divide m, or m is below the Rao bound: a generator matrix's m columns
@@ -120,10 +120,10 @@ def search_linear_k_dispersive(
     if m > cap:
         raise ValueError(f"m={m} beyond search width cap {cap}")
     if m < min_output_dim(n):
-        return SearchOutcome(False, None, 0, True)
+        return SearchOutcome(False, None, 0)
     # here m <= MAX_WIDTH and n <= m, so neither term is large
     if m % (1 << k) or m < _rao_bound(n, k):
-        return SearchOutcome(False, None, 0, True)
+        return SearchOutcome(False, None, 0)
 
     half = m // 2
     w0 = (1 << half) - 1
@@ -151,7 +151,7 @@ def search_linear_k_dispersive(
         for v in stream:
             examined += 1
             if examined > budget:
-                return None
+                raise BudgetExceededError(examined, budget, f"candidates at m={m}")
             for _, s in sub_xors:
                 if (v ^ s).bit_count() != half:
                     break
@@ -169,7 +169,7 @@ def search_linear_k_dispersive(
                 if depth + 1 == n:
                     return list(chosen)
                 hit = dfs(pivot_mask | 1 << lead)
-                if hit is not None or examined > budget:
+                if hit is not None:
                     return hit
                 del pivots[lead]
                 del sub_xors[len(sub_xors) - len(added):]
@@ -178,5 +178,5 @@ def search_linear_k_dispersive(
 
     witness = dfs(0)
     if witness is not None:
-        return SearchOutcome(True, LinearMap(n, m, tuple(witness)), examined, False)
-    return SearchOutcome(False, None, examined, examined <= budget)
+        return SearchOutcome(True, LinearMap(n, m, tuple(witness)), examined)
+    return SearchOutcome(False, None, examined)

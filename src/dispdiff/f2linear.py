@@ -55,6 +55,12 @@ class LinearMap(Record):
         # a linear map is injective iff its generators are independent
         return rank(self.generators) == self.input_dim
 
+    def lookup(self, x: BitWord) -> BitWord:
+        """Image of x: XOR of the generators at the set bits of x."""
+        if x.width != self.input_dim:
+            raise ValueError(f"width mismatch: {x.width} != {self.input_dim}")
+        return BitWord(self.output_dim, next(_images(self, [x.value]))[1])
+
 
 class TruthTableMap(Record):
     """Explicit input -> output table for an arbitrary map between word
@@ -96,13 +102,6 @@ class TruthTableMap(Record):
         if x.width != self.input_dim:
             raise ValueError(f"width mismatch: {x.width} != {self.input_dim}")
         return BitWord(self.output_dim, int(self.values[x.value]))
-
-
-def apply(map_: LinearMap, x: BitWord) -> BitWord:
-    """Image of x: XOR of the generators at the set bits of x."""
-    if x.width != map_.input_dim:
-        raise ValueError(f"width mismatch: {x.width} != {map_.input_dim}")
-    return BitWord(map_.output_dim, next(_images(map_, [x.value]))[1])
 
 
 def _images(map_: LinearMap, xs: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -172,10 +171,10 @@ def table_size(n: int) -> int:
 
 
 def tabulate(map_: LinearMap) -> TruthTableMap:
-    """Materialize the full truth table: entry j = apply(map, word j)."""
+    """Materialize the full truth table: entry j = map.lookup(word j)."""
     n, m = map_.input_dim, map_.output_dim
     values = np.zeros(table_size(n), dtype=np.uint64)
-    # entry j XORs in generator i iff bit n-1-i of j is set, as in apply()
+    # entry j XORs in generator i iff bit n-1-i of j is set, as in lookup()
     half = 1
     for g in reversed(map_.generators):
         values[half : 2 * half] = values[:half] ^ np.uint64(g)

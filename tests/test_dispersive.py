@@ -20,6 +20,7 @@ from dispdiff import (
     verify_dispersive,
     verify_dispersive_linear,
 )
+from dispdiff.bitword import diff_patterns
 from dispdiff.cli import main
 
 import naive
@@ -39,7 +40,7 @@ class TestMinOutputDim:
         assert min_output_dim(n) == m
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             min_output_dim(0)
 
 
@@ -118,7 +119,7 @@ class TestVerifyDispersive:
         report = verify_dispersive(tabulate(build_dispersive(3)))
         assert report.passed
         assert report.pairs_checked == 12
-        assert report.injective and report.output_dim_even
+        assert report.injective
         assert report.first_violation is None
 
     def test_identity4_fails(self):
@@ -133,9 +134,12 @@ class TestVerifyDispersive:
         assert report.passed
 
     def test_odd_output_dim_fails(self):
+        # no distance is 3/2, so the first pair is the violation
         table = TruthTableMap(1, 3, np.array([0b000, 0b111], dtype=np.uint64))
         report = verify_dispersive(table)
-        assert not report.passed and not report.output_dim_even
+        assert not report.passed and report.injective
+        assert report.first_violation == (BitWord(1, 0), BitWord(1, 1))
+        assert format_dispersion_report(report) == "FAIL {0,1} 3"
 
     def test_non_injective_fails(self):
         table = TruthTableMap(1, 2, np.zeros(2, dtype=np.uint64))
@@ -166,6 +170,38 @@ class TestVerifyDispersive:
             else:
                 x, y = report.first_violation
                 assert (str(x), str(y), report.violation_distance) == first
+
+
+class TestOddOutputDim:
+    """With m odd no pair lands at distance m/2, so at every k the first
+    pair in enumeration order, {0, first pattern}, is the reported
+    violation: a report needs no parity flag of its own."""
+
+    @staticmethod
+    def assert_first_pair_fails(map_, image):
+        n = map_.input_dim
+        for k in range(1, n + 1):
+            report = verify_dispersive(map_, k)
+            d = next(diff_patterns(n, k))
+            assert not report.passed
+            assert report.first_violation == (BitWord(n, 0), BitWord(n, d))
+            assert report.violation_distance == (image(0) ^ image(d)).bit_count()
+
+    def test_random_tables(self):
+        rng = random.Random(109)
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            table = _random_table(rng, n, 2 * rng.randint(0, 4) + 1)
+            self.assert_first_pair_fails(table, lambda x: int(table.values[x]))
+
+    def test_random_generator_matrices(self):
+        rng = random.Random(127)
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            mp = _random_map(rng, n, 2 * rng.randint(0, 7) + 1)
+            self.assert_first_pair_fails(
+                mp, lambda x: mp.lookup(BitWord(n, x)).value
+            )
 
 
 class TestVerifyDispersiveLinear:

@@ -158,7 +158,7 @@ class TestVerifyKDiffusive:
 class TestSearch:
     def test_found_2_2_4(self):
         outcome = search_linear_k_dispersive(2, 2, 4)
-        assert outcome.found and not outcome.exhausted
+        assert outcome.found
         gens = [format(g, "04b") for g in outcome.witness.generators]
         assert gens == ["0011", "0101"]
         # witness verified through the independent enumerative route
@@ -168,7 +168,6 @@ class TestSearch:
         # 4 does not divide 2: the index rule refutes it unsearched
         outcome = search_linear_k_dispersive(2, 2, 2)
         assert not outcome.found
-        assert outcome.exhausted
         assert outcome.witness is None
         assert outcome.candidates_examined == 0
 
@@ -179,7 +178,7 @@ class TestSearch:
 
     def test_exhausted_4_1_4(self):
         outcome = search_linear_k_dispersive(4, 1, 4)
-        assert not outcome.found and outcome.exhausted
+        assert outcome == SearchOutcome(False, None, 0)
 
     def test_matches_brute_force_oracle(self):
         # full scan over all generator tuples for tiny parameters
@@ -206,24 +205,25 @@ class TestSearch:
                 assert report.passed
 
     def test_budget_cutoff(self):
-        outcome = search_linear_k_dispersive(3, 3, 8, budget=2)
-        assert not outcome.found
-        assert not outcome.exhausted
-        assert outcome.candidates_examined == 3
+        # the third candidate crosses the budget, and it raises there
+        with pytest.raises(BudgetExceededError) as err:
+            search_linear_k_dispersive(3, 3, 8, budget=2)
+        assert (err.value.estimate, err.value.budget) == (3, 2)
+        assert str(err.value) == "enumeration of 3 candidates at m=8 exceeds budget 2"
 
     @pytest.mark.parametrize(
         "n, k, m, expected",
         [
-            (3, 2, 6, (False, 0, True)),
-            (4, 3, 10, (False, 0, True)),
-            (6, 2, 10, (False, 0, True)),
-            (4, 2, 8, (True, 42, False)),
-            (7, 1, 8, (True, 7, False)),
+            (3, 2, 6, (False, 0)),
+            (4, 3, 10, (False, 0)),
+            (6, 2, 10, (False, 0)),
+            (4, 2, 8, (True, 42)),
+            (7, 1, 8, (True, 7)),
         ],
     )
     def test_recorded_outcomes(self, n, k, m, expected):
         outcome = search_linear_k_dispersive(n, k, m)
-        got = (outcome.found, outcome.candidates_examined, outcome.exhausted)
+        got = (outcome.found, outcome.candidates_examined)
         assert got == expected
         if outcome.found:
             assert verify_k_dispersive(tabulate(outcome.witness), k).passed
@@ -231,10 +231,9 @@ class TestSearch:
     def test_budget_bounds_a_whole_width(self):
         # the candidates are streamed, so budget=1 at m=24 builds nothing
         # of size C(24, 12) before it stops
-        with peak_below():
-            outcome = search_linear_k_dispersive(5, 3, 24, budget=1)
-        assert outcome.candidates_examined == 2
-        assert not outcome.found and not outcome.exhausted
+        with peak_below(), pytest.raises(BudgetExceededError) as err:
+            search_linear_k_dispersive(5, 3, 24, budget=1)
+        assert err.value.estimate == 2
 
     @pytest.mark.parametrize("m", range(2, 17, 2))
     def test_candidate_stream_is_ascending_semi_weight(self, m):
@@ -260,7 +259,7 @@ class TestSearch:
             assert (m < min_output_dim(n)) == infeasible
             if infeasible:
                 outcome = search_linear_k_dispersive(n, 1, m)
-                assert outcome == SearchOutcome(False, None, 0, True)
+                assert outcome == SearchOutcome(False, None, 0)
 
     @pytest.mark.parametrize(
         "n, cases_settled",
@@ -280,7 +279,7 @@ class TestSearch:
                 witness = outcome.witness and [
                     format(g, f"0{m}b") for g in outcome.witness.generators
                 ]
-                assert (outcome.found, witness, outcome.exhausted) == expected
+                assert (outcome.found, witness) == expected[:2]
         assert settled == cases_settled
 
     @pytest.mark.parametrize("n", range(2, 8))
@@ -290,7 +289,7 @@ class TestSearch:
         for k in range(2, n + 1):
             for m in range(2, 15, 4):
                 outcome = search_linear_k_dispersive(n, k, m)
-                assert outcome == SearchOutcome(False, None, 0, True)
+                assert outcome == SearchOutcome(False, None, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -367,9 +366,13 @@ class TestSpanJump:
 
 def _gated(n, k, m):
     """True when the search refuses (n, k, m) unsearched at a width the
-    dimension theorem allows; budget=1 keeps any searched width cheap."""
-    outcome = search_linear_k_dispersive(n, k, m, budget=1)
-    return m >= min_output_dim(n) and outcome.candidates_examined == 0
+    dimension theorem allows; with budget=0 a searched width raises at
+    its first candidate."""
+    try:
+        search_linear_k_dispersive(n, k, m, budget=0)
+    except BudgetExceededError:
+        return False
+    return m >= min_output_dim(n)
 
 
 class TestWidthGates:
@@ -401,9 +404,12 @@ class TestWidthGates:
         for n in range(1, 7):
             for k in range(1, n + 1):
                 for m in range(2, 17, 2):
-                    outcome = search_linear_k_dispersive(
-                        n, k, m, budget=_REFERENCE_BUDGET
-                    )
+                    try:
+                        outcome = search_linear_k_dispersive(
+                            n, k, m, budget=_REFERENCE_BUDGET
+                        )
+                    except BudgetExceededError:
+                        continue
                     if not outcome.found:
                         continue
                     found += 1
@@ -420,7 +426,7 @@ class TestWidthGates:
         # 1 + 6 + 15 = 22 runs
         assert naive.rao_bound(6, 4) == 22
         outcome = search_linear_k_dispersive(6, 4, 16)
-        assert outcome == SearchOutcome(False, None, 0, True)
+        assert outcome == SearchOutcome(False, None, 0)
 
 
 def _explore(capsys, n, k, m_max):
@@ -458,7 +464,7 @@ class TestMinLinearDim:
     def test_huge_n_k_are_checked_without_counting_pairs(self):
         with peak_below():
             outcome = search_linear_k_dispersive(10**9, 10**9, 4)
-        assert outcome == SearchOutcome(False, None, 0, True)
+        assert outcome == SearchOutcome(False, None, 0)
 
 
 def _brute_force_first_witness(n, k, m):

@@ -9,7 +9,6 @@ from dispdiff import (
     BitWord,
     LinearMap,
     TruthTableMap,
-    apply,
     parse_generator_matrix,
     parse_map_file,
     parse_truth_table,
@@ -46,21 +45,21 @@ class TestApply:
         ident = identity_map(4)
         for v in range(16):
             x = BitWord(4, v)
-            assert apply(ident, x) == x
+            assert ident.lookup(x) == x
 
     def test_example(self):
-        assert str(apply(lin(F3), BitWord.parse("101"))) == "1001"
+        assert str(lin(F3).lookup(BitWord.parse("101"))) == "1001"
 
     def test_zero_maps_to_zero(self):
         rng = random.Random(7)
         for _ in range(20):
             m = random_map(rng, rng.randint(1, 6), rng.randint(1, 8))
-            out = apply(m, BitWord(m.input_dim, 0))
+            out = m.lookup(BitWord(m.input_dim, 0))
             assert out == BitWord(m.output_dim, 0)
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            apply(lin(F3), BitWord.parse("10"))
+            lin(F3).lookup(BitWord.parse("10"))
 
     def test_matches_oracle(self):
         rng = random.Random(11)
@@ -69,7 +68,7 @@ class TestApply:
             mp = random_map(rng, n, m)
             rows = [format(g, f"0{m}b") for g in mp.generators]
             for x in naive.words(n):
-                assert str(apply(mp, BitWord.parse(x))) == naive.apply_gens(
+                assert str(mp.lookup(BitWord.parse(x))) == naive.apply_gens(
                     rows, x
                 )
 
@@ -80,8 +79,8 @@ class TestApply:
             mp = random_map(rng, n, rng.randint(1, 8))
             for a in range(1 << n):
                 for b in range(1 << n):
-                    fa, fb = (apply(mp, BitWord(n, v)).value for v in (a, b))
-                    assert apply(mp, BitWord(n, a ^ b)).value == fa ^ fb
+                    fa, fb = (mp.lookup(BitWord(n, v)).value for v in (a, b))
+                    assert mp.lookup(BitWord(n, a ^ b)).value == fa ^ fb
 
     def test_distance_one_bridge(self):
         # a pair differing at input bit i maps to images differing by
@@ -91,9 +90,9 @@ class TestApply:
             n = rng.randint(2, 8)
             mp = random_map(rng, n, rng.randint(1, 8))
             for v in range(1 << n):
-                fx = apply(mp, BitWord(n, v)).value
+                fx = mp.lookup(BitWord(n, v)).value
                 for i in range(1, n + 1):
-                    fy = apply(mp, BitWord(n, v ^ (1 << (n - i)))).value
+                    fy = mp.lookup(BitWord(n, v ^ (1 << (n - i)))).value
                     assert fx ^ fy == mp.generators[i - 1]
 
 
@@ -177,7 +176,7 @@ class TestTabulate:
             mp = random_map(rng, n, rng.randint(1, 8))
             values = tabulate(mp).values.tolist()
             for j in range(1 << n):
-                assert values[j] == apply(mp, BitWord(n, j)).value
+                assert values[j] == mp.lookup(BitWord(n, j)).value
 
     def test_injective_iff_full_rank(self):
         rng = random.Random(41)
@@ -279,6 +278,6 @@ def test_linear_map_dimensions_in_word_range(n, m):
 )
 def test_linear_map_generators_are_m_bit_ints(gen):
     # generators are Python ints in 0..2^m - 1; anything else is refused
-    # here, not by an AttributeError deep in rank or apply
+    # here, not by an AttributeError deep in rank or lookup
     with pytest.raises(ValueError, match="not an int in 0..2\\^2-1"):
         LinearMap(1, 2, (gen,))

@@ -29,7 +29,6 @@ def verdict(report):
     """A dispersion report's fields apart from ``pairs_checked``."""
     return (
         report.passed,
-        report.output_dim_even,
         report.injective,
         report.first_violation,
         report.violation_distance,

@@ -29,6 +29,7 @@ REMOVED = [
     "normalize_to_zero",
     "g_eval",
     "min_linear_dim_k",
+    "apply",
 ]
 
 

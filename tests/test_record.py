@@ -19,7 +19,6 @@ from dispdiff.explorer import SearchOutcome
 def report(**changes):
     fields = dict(
         passed=True,
-        output_dim_even=True,
         injective=True,
         first_violation=None,
         violation_distance=None,
@@ -31,8 +30,10 @@ def report(**changes):
 class TestConstruction:
     def test_fields_are_the_class_annotations_in_order(self):
         assert BitWord._fields == ("width", "value")
-        assert SearchOutcome._fields == (
-            "found", "witness", "candidates_examined", "exhausted"
+        assert SearchOutcome._fields == ("found", "witness", "candidates_examined")
+        assert DispersionReport._fields == (
+            "passed", "injective", "first_violation", "violation_distance",
+            "pairs_checked",
         )
         assert DiffusionReport._fields == (
             "passed", "injective", "per_bit_sums", "target", "pairs_checked"
@@ -40,7 +41,7 @@ class TestConstruction:
 
     def test_positional_and_keyword_construction_agree(self):
         assert BitWord(3, 5) == BitWord(width=3, value=5) == BitWord(3, value=5)
-        assert report() == DispersionReport(True, True, True, None, None, 12)
+        assert report() == DispersionReport(True, True, None, None, 12)
 
     @pytest.mark.parametrize(
         "args, kwargs",
@@ -141,13 +142,13 @@ class TestEqualityAndHash:
 class TestRepr:
     def test_report_repr_lists_fields_in_order(self):
         assert repr(report(first_violation=(BitWord(1, 0), BitWord(1, 1)))) == (
-            "DispersionReport(passed=True, output_dim_even=True, injective=True, "
+            "DispersionReport(passed=True, injective=True, "
             "first_violation=(BitWord('0'), BitWord('1')), violation_distance=None, "
             "pairs_checked=12)"
         )
-        assert repr(SearchOutcome(True, LinearMap(1, 2, (1,)), 1, False)) == (
+        assert repr(SearchOutcome(True, LinearMap(1, 2, (1,)), 1)) == (
             "SearchOutcome(found=True, witness=LinearMap(input_dim=1, "
-            "output_dim=2, generators=(1,)), candidates_examined=1, exhausted=False)"
+            "output_dim=2, generators=(1,)), candidates_examined=1)"
         )
 
     def test_bitword_keeps_its_own_repr(self):

@@ -13,7 +13,6 @@ from dispdiff import (
     BitWord,
     LinearMap,
     TruthTableMap,
-    apply,
     extend_output,
     g_table,
     parse_map_file,
@@ -113,7 +112,7 @@ class TestArrayPaths:
     def test_tabulate_matches_apply(self, map_):
         n = map_.input_dim
         values = tabulate(map_).values.tolist()
-        assert values == [apply(map_, BitWord(n, j)).value for j in range(1 << n)]
+        assert values == [map_.lookup(BitWord(n, j)).value for j in range(1 << n)]
 
     @given(tables_st)
     def test_serialize_parse_roundtrip(self, table):
