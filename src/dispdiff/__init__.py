@@ -21,7 +21,6 @@ from .dispersive import (
     min_output_dim,
     semi_weight_generators,
     verify_dispersive,
-    verify_dispersive_linear,
 )
 from .diffusive import (
     DecomposedSums,
@@ -66,7 +65,6 @@ __all__ = [
     "min_output_dim",
     "semi_weight_generators",
     "verify_dispersive",
-    "verify_dispersive_linear",
     "DecomposedSums",
     "DiffusionReport",
     "column_diffusive",

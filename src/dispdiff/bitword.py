@@ -20,7 +20,7 @@ from typing import Iterator
 
 MAX_WIDTH = 64
 
-# Default ``budget``: the most pairs a verifier enumerates, or candidates
+# Default ``budget``: the most pairs a table scan enumerates, or candidates
 # the search tests, unless the caller raises it.
 DEFAULT_PAIR_BUDGET = 1 << 28
 
@@ -144,8 +144,8 @@ def pair_count(n: int, k: int = 1) -> int:
 
 
 def pair_space(n: int, k: int, budget: int) -> int:
-    """``pair_count(n, k)`` for a map of any type, refused above
-    ``budget``. No pattern is listed."""
+    """``pair_count(n, k)`` for a table scan, refused above ``budget``.
+    No pattern is listed."""
     npairs = pair_count(n, k)
     if npairs > budget:
         raise BudgetExceededError(npairs, budget)

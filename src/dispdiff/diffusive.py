@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from . import _scan
 from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, Record
-from .bitword import diff_patterns, pair_space
+from .bitword import diff_patterns, pair_count, pair_space
 from .f2linear import LinearMap, TruthTableMap, np, table_size, transpose
 from .dispersive import build_dispersive
 
@@ -80,11 +80,12 @@ def verify_diffusive(
 
     Passes iff the map is injective and every sum equals exactly half the
     pair count (n * 2^(n-2) for k = 1). All m output bits are checked,
-    also when m > n. 1-bit inputs are refused, then ``pair_space``'s
-    refusals are made. A generator matrix gets its table's report from its
-    column weights w: the 2^(n-1) pairs of pattern d flip f(d), in bit b
-    iff d meets column b in an odd number i of places, as C(w, i) *
-    C(n - w, j - i) of the patterns of weight j do. No pattern is listed.
+    also when m > n. 1-bit inputs are refused, then a table scan makes
+    ``pair_space``'s refusals. A generator matrix gets its table's report
+    from its column weights w: the 2^(n-1) pairs of pattern d flip f(d),
+    in bit b iff d meets column b in an odd number i of places, as
+    C(w, i) * C(n - w, j - i) of the patterns of weight j do. No pattern
+    is listed, and ``budget`` does not apply: at most k^2/4 * m products.
     """
     n, m = map_.input_dim, map_.output_dim
     if n < 2:
@@ -92,17 +93,18 @@ def verify_diffusive(
             "no diffusive map exists on 1-bit inputs: the required per-bit "
             "sum n * 2^(n-2) is not an integer"
         )
-    npairs = pair_space(n, k, budget)
-    target = npairs // 2
     if isinstance(map_, LinearMap):
+        npairs = pair_count(n, k)
         ij = [(i, j) for j in range(1, k + 1) for i in range(1, j + 1, 2)]
         gens = map_.generators
         weights = [sum(v >> (m - b) & 1 for v in gens) for b in range(1, m + 1)]
         odd = [sum(comb(w, i) * comb(n - w, j - i) for i, j in ij) for w in weights]
         sums = [c << (n - 1) for c in odd]
     else:
+        npairs = pair_space(n, k, budget)
         values = _scan.table_values(map_)
         sums = _scan.bit_sums(values, m, list(diff_patterns(n, k)), threads=threads)
+    target = npairs // 2
     injective = map_.is_injective()
     passed = injective and all(s == target for s in sums)
     return DiffusionReport(

@@ -12,8 +12,8 @@ or from the rank and pattern images of a generator matrix.
 from __future__ import annotations
 
 from . import _scan
-from .bitword import DEFAULT_PAIR_BUDGET, BitWord, Record, _check_width
-from .bitword import _check_pairs, diff_patterns, pair_space
+from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, Record, pair_count
+from .bitword import _check_pairs, _check_width, diff_patterns, pair_space
 from .f2linear import LinearMap, TruthTableMap, _images, np
 
 
@@ -58,6 +58,11 @@ def build_dispersive(n: int, target_m: int | None = None) -> LinearMap:
     when m is 2 mod 4 and m - 1 >= n otherwise (m >= min_output_dim(n)
     >= n, and m = n only when n is 2 mod 4)."""
     minimum = min_output_dim(n)
+    if minimum > MAX_WIDTH:
+        raise ValueError(
+            f"n={n} needs output dimension {minimum}, "
+            f"above the width cap {MAX_WIDTH}"
+        )
     m = minimum if target_m is None else target_m
     if m % 2:
         raise ValueError(f"output dimension must be even, got {m}")
@@ -110,36 +115,26 @@ def verify_dispersive(
 
     Passes iff the map is injective and each pair lands at output
     distance exactly m/2, so never when m is odd. The first failing
-    pair in (x, pattern) order is reported. ``pair_space`` makes the
-    refusals. A generator matrix gets its table's report from a stream of
-    pattern images stopped at the first failure; no pattern is listed.
+    pair in (x, pattern) order is reported. A table scan's refusals are
+    ``pair_space``'s. A generator matrix gets its table's report from a
+    stream of pattern images stopped at the first failure, and ``budget``
+    does not apply: if every pattern below 2^t passes, the m columns on
+    the last t rows form an orthogonal array of strength min(k, t), so m
+    is at least its Rao bound (Hedayat-Sloane-Stufken, Thm 2.1). With
+    m <= 64 that gives t <= 63 at k = 2, 32 at k = 3 and 10 at k = 4, so
+    at most sum_{j<=k} C(t+1, j) <= 6017 patterns are read, and n at k = 1.
     """
     n = map_.input_dim
-    npairs = pair_space(n, k, budget)
     if isinstance(map_, LinearMap):
+        npairs = pair_count(n, k)
         viol = _linear_violation(map_, k)
     else:
+        npairs = pair_space(n, k, budget)
         values = _scan.table_values(map_)
         viol = _scan.first_distance_violation(
             values, map_.output_dim, list(diff_patterns(n, k)), threads=threads
         )
     return _dispersion_report(map_, viol, npairs)
-
-
-def verify_dispersive_linear(map_: LinearMap) -> DispersionReport:
-    """Decide dispersion for a linear map without enumerating pairs.
-
-    A linear map is dispersive iff its generators are independent (rank n,
-    hence injective) and every generator has weight m/2 (a flip of input
-    bit i changes the output by exactly generator i). A wrong-weight
-    generator i is reported as the violating pair {0, e_i}. No budget
-    applies, and ``pairs_checked`` is 0.
-
-    It stays beside ``verify_dispersive(map_, 1)`` because it takes no
-    budget: n * 2^(n-1) pairs fit the default budget only up to n = 24.
-    """
-    viol = _linear_violation(map_, 1)
-    return _dispersion_report(map_, viol, 0)
 
 
 def even_weight_obstruction_check(table: TruthTableMap) -> bool:

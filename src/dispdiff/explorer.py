@@ -53,7 +53,7 @@ def verify_k_dispersive(
     budget: int = DEFAULT_PAIR_BUDGET,
     threads: int = 1,
 ) -> DispersionReport:
-    """verify_dispersive with k required; ``budget`` counts pairs."""
+    """verify_dispersive with k required; ``budget`` counts table pairs."""
     return verify_dispersive(map_, k, budget=budget, threads=threads)
 
 
@@ -64,7 +64,7 @@ def verify_k_diffusive(
     budget: int = DEFAULT_PAIR_BUDGET,
     threads: int = 1,
 ) -> DiffusionReport:
-    """verify_diffusive with k required; ``budget`` counts pairs."""
+    """verify_diffusive with k required; ``budget`` counts table pairs."""
     return verify_diffusive(map_, k, budget=budget, threads=threads)
 
 

@@ -42,6 +42,15 @@ class TestConstruct:
         assert "6" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, m", [(64, 66), (65, 66), (1000, 1002)])
+    def test_dispersive_beyond_the_width_cap_names_n(self, tmp_path, capsys, n, m):
+        # the message names the user's n, not only the width it derives
+        out = tmp_path / "x.gm"
+        argv = ["construct", "dispersive", "--n", str(n), "--out", str(out)]
+        message = f"error: n={n} needs output dimension {m}, above the width cap 64\n"
+        assert run(capsys, *argv) == (1, "", message)
+        assert not out.exists()
+
     def test_diffusive_n3_golden(self, tmp_path, capsys):
         out = tmp_path / "g3.tt"
         code, stdout, _ = run(

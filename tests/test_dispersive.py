@@ -18,7 +18,6 @@ from dispdiff import (
     semi_weight_generators,
     tabulate,
     verify_dispersive,
-    verify_dispersive_linear,
 )
 from dispdiff.bitword import diff_patterns
 from dispdiff.cli import main
@@ -206,17 +205,17 @@ class TestOddOutputDim:
 
 class TestVerifyDispersiveLinear:
     def test_constructed_n6(self):
-        report = verify_dispersive_linear(build_dispersive(6))
-        assert report.passed and report.pairs_checked == 0
+        report = verify_dispersive(build_dispersive(6))
+        assert report.passed and report.pairs_checked == 192
 
     def test_dependent_generators(self):
         mp = _lin(["1100", "0110", "1010"])
-        report = verify_dispersive_linear(mp)
+        report = verify_dispersive(mp)
         assert not report.passed and not report.injective
 
     def test_non_semi_weight_generator(self):
         mp = _lin(["1110", "0110"])
-        report = verify_dispersive_linear(mp)
+        report = verify_dispersive(mp)
         assert not report.passed
         x, y = report.first_violation
         assert (str(x), str(y)) == ("00", "10")
@@ -228,9 +227,7 @@ class TestVerifyDispersiveLinear:
             n = rng.randint(1, 6)
             m = 2 * rng.randint(1, 3)
             mp = _random_map(rng, n, m)
-            fast = verify_dispersive_linear(mp).passed
-            slow = verify_dispersive(tabulate(mp)).passed
-            assert fast == slow
+            assert verify_dispersive(mp) == verify_dispersive(tabulate(mp))
 
 
 class TestNormalizeToZero:

@@ -17,7 +17,6 @@ from dispdiff import (
     tabulate,
     verify_diffusive,
     verify_dispersive,
-    verify_dispersive_linear,
     verify_k_dispersive,
     verify_k_diffusive,
 )
@@ -331,14 +330,14 @@ class TestSpanJump:
         assert gens == _first_k1_witness(n, m)
         assert all(g.bit_count() * 2 == m for g in gens)
         assert rank(gens) == n
-        assert verify_dispersive_linear(outcome.witness).passed
+        assert verify_dispersive(outcome.witness).passed
 
     @pytest.mark.parametrize("n", range(1, 64))
     def test_k1_at_the_word_width_settles_in_n_candidates(self, n):
         outcome = search_linear_k_dispersive(n, 1, 64)
         assert outcome.found and outcome.candidates_examined == n
         assert outcome.witness.generators == _first_k1_witness(n, 64)
-        assert verify_dispersive_linear(outcome.witness).passed
+        assert verify_dispersive(outcome.witness).passed
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_k1_witness_matches_unrestricted_search(self, n):

@@ -1,8 +1,10 @@
 """The verifiers decide a generator matrix from the images of the pair
 patterns instead of scanning its table. Differential tests against the
-table scan of the same map, and the refusals the table used to give."""
+table scan of the same map; the pair budget refuses only table scans,
+and the matrix dispersion stream stays short for any budget."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,29 +12,24 @@ from hypothesis import strategies as st
 
 from dispdiff import (
     BitWord,
+    BudgetExceededError,
     LinearMap,
     build_dispersive,
     column_diffusive,
+    g_table,
+    pair_count,
     serialize_generator_matrix,
+    serialize_truth_table,
     tabulate,
     verify_diffusive,
     verify_dispersive,
-    verify_dispersive_linear,
 )
+from dispdiff.bitword import diff_patterns
 from dispdiff.cli import main
+from dispdiff.explorer import _rao_bound
 
 import naive
 from peakmem import peak_below
-
-
-def verdict(report):
-    """A dispersion report's fields apart from ``pairs_checked``."""
-    return (
-        report.passed,
-        report.injective,
-        report.first_violation,
-        report.violation_distance,
-    )
 
 
 @st.composite
@@ -71,64 +68,85 @@ def linear_maps(draw):
 def test_matrix_reports_equal_table_reports(mp):
     table = tabulate(mp)
     for k in range(1, mp.input_dim + 1):
-        assert verify_dispersive(mp, k) == verify_dispersive(table, k)
+        disp = verify_dispersive(mp, k, budget=0)
+        assert disp == verify_dispersive(mp, k) == verify_dispersive(table, k)
+        assert disp.pairs_checked == pair_count(mp.input_dim, k)
         if mp.input_dim >= 2:
-            assert verify_diffusive(mp, k) == verify_diffusive(table, k)
-    linear, enumerated = verify_dispersive_linear(mp), verify_dispersive(mp)
-    assert linear.pairs_checked == 0
-    assert verdict(linear) == verdict(enumerated)
+            diff = verify_diffusive(mp, k, budget=0)
+            assert diff == verify_diffusive(mp, k) == verify_diffusive(table, k)
 
 
-def test_wide_matrix_is_refused_by_the_budget_not_a_table_cap(tmp_path, capsys):
+def _verify_lines(capsys, prop, path, *argv):
+    """Exit status, stdout and stderr of one ``dispdiff verify``."""
+    status = main(["verify", prop, str(path), *argv])
+    return (status, *capsys.readouterr())
+
+
+def test_wide_matrix_is_decided_at_the_default_budget(tmp_path, capsys):
+    # 21990232555520 pairs, far above the default budget of 2^28
     path = tmp_path / "wide.gm"
     path.write_text("40 2\n" + "10\n" * 40)
-    for prop in ("dispersive", "diffusive"):
-        assert main(["verify", prop, str(path)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: enumeration of 21990232555520 pairs exceeds budget 268435456\n"
+    half = 10995116277760
+    expected = {
+        "dispersive": "FAIL not injective\n",
+        "diffusive": f"bit 1: {2 * half}/{half}\nbit 2: 0/{half}\nFAIL\n",
+    }
+    for prop, out in expected.items():
+        assert _verify_lines(capsys, prop, path) == (1, out, "")
+        unlimited = ["--budget", str(1 << 200)]
+        assert _verify_lines(capsys, prop, path, *unlimited) == (1, out, "")
+    # a table scan of more pairs than the default budget is still refused
+    with pytest.raises(BudgetExceededError) as err:
+        verify_dispersive(g_table(20), 3)
+    assert str(err.value) == "enumeration of 707788800 pairs exceeds budget 268435456"
 
 
-def test_matrix_over_budget_is_refused(tmp_path, capsys):
-    path = tmp_path / "f6.gm"
-    path.write_text(serialize_generator_matrix(build_dispersive(6)))
+def test_matrix_is_decided_at_budget_4(tmp_path, capsys):
+    f6 = build_dispersive(6)
+    matrix, table = tmp_path / "f6.gm", tmp_path / "f6.tt"
+    matrix.write_text(serialize_generator_matrix(f6))
+    table.write_text(serialize_truth_table(tabulate(f6)))
+    passed = (0, "PASS\n", "")
+    assert _verify_lines(capsys, "dispersive", matrix, "--budget", "4") == passed
+    refused = (1, "", "error: enumeration of 192 pairs exceeds budget 4\n")
     for prop in ("dispersive", "diffusive"):
-        assert main(["verify", prop, str(path), "--budget", "4"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: enumeration of 192 pairs exceeds budget 4\n"
+        decided = _verify_lines(capsys, prop, matrix, "--budget", "4")
+        assert decided == _verify_lines(capsys, prop, matrix)
+        assert decided == _verify_lines(capsys, prop, table)
+        assert _verify_lines(capsys, prop, table, "--budget", "4") == refused
 
 
 def test_linear_decider_needs_no_table_or_cap():
     mp = build_dispersive(40)
     with peak_below():
-        report = verify_dispersive_linear(mp)
-    assert report.passed and report.pairs_checked == 0
+        report = verify_dispersive(mp, budget=0)
+    assert report.passed and report.pairs_checked == 40 << 39
 
 
 def test_matrix_at_the_cap_is_decided_without_its_table():
     # each table would be 2^28 or 2^26 uint64 entries
     dispersive, diffusive = build_dispersive(28), column_diffusive(26)
     with peak_below():
-        disp = verify_dispersive(dispersive, budget=1 << 40)
-        diff = verify_diffusive(diffusive, budget=1 << 40)
+        disp = verify_dispersive(dispersive)
+        diff = verify_diffusive(diffusive)
     assert disp.passed and disp.pairs_checked == 28 << 27
     assert diff.passed and diff.per_bit_sums == (26 << 24,) * 26
 
 
 @pytest.mark.parametrize("n", range(29, 63))
 def test_matrix_above_the_table_cap_matches_the_linear_decider(n):
+    # one decider: the report does not depend on the budget
     mp = build_dispersive(n)
-    enumerated = verify_dispersive(mp, 1, budget=1 << 70)
-    assert enumerated.pairs_checked == n << (n - 1)
-    assert verdict(enumerated) == verdict(verify_dispersive_linear(mp))
+    report = verify_dispersive(mp, 1, budget=0)
+    assert report.passed and report.pairs_checked == n << (n - 1)
+    assert report == verify_dispersive(mp) == verify_dispersive(mp, 1, budget=1 << 70)
 
 
 def test_matrix_dispersion_stops_at_the_first_failing_pattern():
     # |D_7| of 40 inputs is about 2.2e7 patterns; the third, 3, fails
     mp = build_dispersive(40)
     with peak_below():
-        report = verify_dispersive(mp, 7, budget=1 << 200)
+        report = verify_dispersive(mp, 7, budget=0)
     assert report.first_violation == (BitWord(40, 0), BitWord(40, 3))
     assert report.violation_distance == 2
     assert not report.passed and report.injective
@@ -137,7 +155,7 @@ def test_matrix_dispersion_stops_at_the_first_failing_pattern():
 def test_matrix_diffusion_needs_no_pattern_list():
     mp = column_diffusive(38)
     with peak_below():
-        report = verify_diffusive(mp, 6, budget=1 << 200)
+        report = verify_diffusive(mp, 6, budget=0)
     # pinned from the pattern-image count, which listed |D_6| patterns
     assert report.per_bit_sums == (229965055972605952,) * 38
     assert report.target == 229908912160112640
@@ -187,10 +205,90 @@ def test_constructed_62_bit_matrices_verify_from_the_cli(tmp_path, capsys):
     half = "71481133285624512512"
     lines = [f"bit {i}: {half}/{half}" for i in range(1, 63)] + ["PASS"]
     assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
-    for prop, path in (("dispersive", f62), ("diffusive", c62)):
-        assert main(["verify", prop, str(path)]) == 1
-        assert capsys.readouterr() == (
-            "",
-            "error: enumeration of 142962266571249025024 pairs exceeds "
-            "budget 268435456\n",
-        )
+    # 142962266571249025024 pairs, and no --budget needed
+    for prop, path, out in (
+        ("dispersive", f62, "PASS\n"),
+        ("diffusive", c62, "\n".join(lines) + "\n"),
+    ):
+        assert _verify_lines(capsys, prop, path) == (0, out, "")
+
+
+def _count_patterns(monkeypatch):
+    """Count the patterns the matrix dispersion stream reads."""
+    read = [0]
+
+    def counting(n, k):
+        for d in diff_patterns(n, k):
+            read[0] += 1
+            yield d
+
+    monkeypatch.setattr("dispdiff.dispersive.diff_patterns", counting)
+    return read
+
+
+def _rm_word(a, c=0):
+    """The [64, 6] first-order Reed-Muller word a.x + c: bit x is its value
+    at x in F2^6."""
+    return sum((((a & x).bit_count() + c) & 1) << x for x in range(64))
+
+
+LINEAR_RM = LinearMap(63, 64, tuple(_rm_word(a) for a in range(1, 64)))
+AFFINE_RM = LinearMap(32, 64, tuple(_rm_word(a, 1) for a in range(32, 64)))
+# rows 31, 47 and 48: a.x for a = 31 ^ 47 ^ 48 = 0 has weight 0
+RM_K3_PAIR = (BitWord(63, 0), BitWord(63, 1 << 32 | 1 << 16 | 1 << 15))
+
+
+@pytest.mark.parametrize(
+    "mp, k, read, pair",
+    [
+        (LINEAR_RM, 2, 2016, None),
+        (LINEAR_RM, 3, 5642, RM_K3_PAIR),
+        (AFFINE_RM, 3, 5488, None),
+    ],
+    ids=["linear-k2", "linear-k3", "affine-k3"],
+)
+def test_reed_muller_streams_are_pinned(monkeypatch, mp, k, read, pair):
+    # every XOR of up to k rows is a nonzero word a.x (+ 1) of weight 32
+    # until the pinned pair; 63 or 32 rows of rank 6 or 7 are not injective
+    count = _count_patterns(monkeypatch)
+    with peak_below():
+        report = verify_dispersive(mp, k, budget=0)
+    assert count[0] == read
+    assert report.first_violation == pair and not report.injective
+    assert report.violation_distance == (None if pair is None else 0)
+
+
+def _stream_limit(n, k, m):
+    """The most patterns a matrix dispersion stream reads on n rows and m
+    columns. At k = 1, n. For k >= 2 the stream ascends, and if every
+    pattern below 2^t passes, the last t rows carry an orthogonal array
+    of strength min(k, t) on m runs, so m is at least its Rao bound."""
+    if k == 1:
+        return n
+    t = max(t for t in range(n + 1) if _rao_bound(t, min(k, t)) <= m)
+    return sum(comb(min(t + 1, n), j) for j in range(1, k + 1))
+
+
+def test_stream_limit_is_at_most_6017():
+    limits = {
+        _stream_limit(n, k, 64) for n in range(1, 65) for k in range(1, n + 1)
+    }
+    assert max(limits) == 6017 == _stream_limit(33, 3, 64)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_matrix_streams_stay_below_the_rao_limit(monkeypatch, seed):
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 64), 2 * rng.randint(1, 32)
+    rows = [
+        sum(1 << p for p in rng.sample(range(m), m // 2))
+        if rng.random() < 0.7
+        else rng.getrandbits(m)
+        for _ in range(n)
+    ]
+    mp = LinearMap(n, m, tuple(rows))
+    count = _count_patterns(monkeypatch)
+    for k in sorted({1, 2, 3, rng.randint(1, n)} & set(range(1, n + 1))):
+        count[0] = 0
+        verify_dispersive(mp, k, budget=0)
+        assert count[0] <= min(_stream_limit(n, k, m), 6017)

@@ -1,6 +1,7 @@
-"""Both verifiers take their pair set from one place: the refusals in
-their fixed order, the pair count and the patterns, for a truth table
-and a generator matrix alike."""
+"""Both verifiers take their pair set from one place: k is refused
+first for a truth table and a generator matrix alike, then a table scan
+is refused above the pair budget; a matrix is decided at any budget,
+with the same pair count and pattern order."""
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from dispdiff.bitword import diff_patterns
 from peakmem import peak_below
 
 WIDE_K_RANGE = "k must be in 1..40, got 99"
-WIDE_BUDGET = "enumeration of 604462909806764831539200 pairs exceeds budget 0"
 K_RANGE = "k must be in 1..6, got 7"
 BUDGET = "enumeration of 192 pairs exceeds budget 4"
 ONE_BIT = (
@@ -45,12 +45,15 @@ def _refusal(verify, map_, k, budget):
 
 @pytest.mark.parametrize("verify", [verify_dispersive, verify_diffusive])
 def test_refusal_order(verify):
-    # k before the budget; no table or pattern cap for a matrix
+    # k first; then the budget, which a matrix does not take
     assert _refusal(verify, WIDE, 99, 0) == WIDE_K_RANGE
-    assert _refusal(verify, WIDE, 40, 0) == WIDE_BUDGET
-    for map_ in (F6, tabulate(F6)):
-        assert _refusal(verify, map_, 7, 0) == K_RANGE
-        assert _refusal(verify, map_, 1, 4) == BUDGET
+    assert verify(WIDE, 40, budget=0) == verify(WIDE, 40, budget=1 << 200)
+    assert _refusal(verify, F6, 7, 0) == K_RANGE
+    assert verify(F6, 1, budget=4) == verify(F6, 1)
+    table = tabulate(F6)
+    assert verify(table, 1) == verify(F6, 1, budget=0)
+    assert _refusal(verify, table, 7, 0) == K_RANGE
+    assert _refusal(verify, table, 1, 4) == BUDGET
 
 
 @pytest.mark.parametrize("map_", ONE_INPUT, ids=["table", "matrix"])
@@ -62,7 +65,7 @@ def test_one_bit_diffusion_is_refused_before_k(map_, k):
 def test_wide_matrix_dispersion_is_decided_at_k_equal_n():
     # 2^40 - 1 patterns, were they listed; the third, 3, maps to 00
     with peak_below():
-        report = verify_dispersive(WIDE, 40, budget=1 << 200)
+        report = verify_dispersive(WIDE, 40, budget=0)
     assert report.first_violation == (BitWord(40, 0), BitWord(40, 3))
     assert report.violation_distance == 0
     assert not report.passed and not report.injective
@@ -71,7 +74,7 @@ def test_wide_matrix_dispersion_is_decided_at_k_equal_n():
 def test_wide_matrix_diffusion_is_decided_at_k_equal_n():
     # column 1 meets the 2^39 odd-weight patterns oddly, column 2 none
     with peak_below():
-        report = verify_diffusive(WIDE, 40, budget=1 << 200)
+        report = verify_diffusive(WIDE, 40, budget=0)
     assert report.per_bit_sums == (2**78, 0)
     assert not report.passed and not report.injective
 
@@ -84,12 +87,12 @@ def test_diff_patterns_match_the_weight_filter(n):
 
 
 def test_matrices_at_the_cap_for_k_above_one():
-    disp = verify_dispersive(build_dispersive(28), 2, budget=1 << 60)
+    disp = verify_dispersive(build_dispersive(28), 2)
     assert disp.first_violation == (BitWord(28, 0), BitWord(28, 3))
     assert disp.violation_distance == 2
     assert disp.pairs_checked == 54492397568
     assert not disp.passed and disp.injective
-    diff = verify_diffusive(column_diffusive(26), 3, budget=1 << 60)
+    diff = verify_diffusive(column_diffusive(26), 3)
     assert diff.per_bit_sums == (49727668224,) * 26
     assert diff.target == 49509564416
     assert not diff.passed and diff.injective

@@ -30,6 +30,7 @@ REMOVED = [
     "g_eval",
     "min_linear_dim_k",
     "apply",
+    "verify_dispersive_linear",
 ]
 
 

@@ -10,7 +10,7 @@ from dispdiff import (
     min_output_dim,
     rank,
     semi_weight_generators,
-    verify_dispersive_linear,
+    verify_dispersive,
 )
 
 import naive
@@ -48,4 +48,4 @@ def test_family_always_has_n_members_to_give():
 
 @pytest.mark.parametrize("n", range(1, 63))
 def test_built_map_is_dispersive(n):
-    assert verify_dispersive_linear(build_dispersive(n)).passed
+    assert verify_dispersive(build_dispersive(n)).passed
