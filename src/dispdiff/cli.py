@@ -173,6 +173,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # BudgetExceededError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy names the refused allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -31,23 +31,23 @@ def min_output_dim(n: int) -> int:
     return n + (2, 1, 0, 1)[n % 4]
 
 
-def semi_weight_generators(k: int) -> list[int]:
-    """A maximal independent family of width-k words of weight k/2, as ints.
+def semi_weight_generators(m: int) -> list[int]:
+    """A maximal independent family of width-m words of weight m/2, as ints.
 
-    With half = k/2 and positions 1..k from the left: the runs of half
-    ones starting at positions 1..half, then for i in half+1..k-1 the
-    positions half..k with position i removed, then (k = 2 mod 4 only)
-    1 XOR member 1 XOR member (k+2)/4. That is k - 1 members when k is
-    0 mod 4 and k when k is 2 mod 4; k = 2 gives the ints 2 and 1.
+    With half = m/2 and positions 1..m from the left: the runs of half
+    ones starting at positions 1..half, then for i in half+1..m-1 the
+    positions half..m with position i removed, then (m = 2 mod 4 only)
+    1 XOR member 1 XOR member (m+2)/4. That is m - 1 members when m is
+    0 mod 4 and m when m is 2 mod 4; m = 2 gives the ints 2 and 1.
     """
-    if k < 2 or k % 2:
-        raise ValueError(f"k must be even and >= 2, got {k}")
-    _check_width(k)
-    half, run = k // 2, (1 << k // 2) - 1
+    if m < 2 or m % 2:
+        raise ValueError(f"m must be even and >= 2, got {m}")
+    _check_width(m)
+    half, run = m // 2, (1 << m // 2) - 1
     gens = [run << (half - i) for i in range(half)]
-    gens += [((run << 1) | 1) ^ (1 << (k - i)) for i in range(half + 1, k)]
-    if k % 4 == 2:
-        gens.append(1 ^ gens[0] ^ gens[(k + 2) // 4 - 1])
+    gens += [((run << 1) | 1) ^ (1 << (m - i)) for i in range(half + 1, m)]
+    if m % 4 == 2:
+        gens.append(1 ^ gens[0] ^ gens[(m + 2) // 4 - 1])
     return gens
 
 
@@ -71,27 +71,6 @@ def build_dispersive(n: int, target_m: int | None = None) -> LinearMap:
             f"output dimension {m} below minimum {minimum} for n={n}"
         )
     return LinearMap(n, m, tuple(semi_weight_generators(m)[:n]))
-
-
-def _dispersion_report(
-    map_: LinearMap | TruthTableMap,
-    violation: tuple[int, int, int] | None,
-    pairs_checked: int,
-) -> DispersionReport:
-    """The report for a map whose first failing pair, if any, is x and
-    x ^ d at output distance dist, given as violation = (x, d, dist)."""
-    pair = dist = None
-    if violation is not None:
-        x, d, dist = violation
-        pair = (BitWord(map_.input_dim, x), BitWord(map_.input_dim, x ^ d))
-    injective = map_.is_injective()
-    return DispersionReport(
-        passed=injective and violation is None,
-        injective=injective,
-        first_violation=pair,
-        violation_distance=dist,
-        pairs_checked=pairs_checked,
-    )
 
 
 def _linear_violation(map_: LinearMap, k: int) -> tuple[int, int, int] | None:
@@ -134,7 +113,18 @@ def verify_dispersive(
         viol = _scan.first_distance_violation(
             values, map_.output_dim, list(diff_patterns(n, k)), threads=threads
         )
-    return _dispersion_report(map_, viol, npairs)
+    pair = dist = None
+    if viol is not None:  # the pair x, x ^ d at output distance dist
+        x, d, dist = viol
+        pair = (BitWord(n, x), BitWord(n, x ^ d))
+    injective = map_.is_injective()
+    return DispersionReport(
+        passed=injective and viol is None,
+        injective=injective,
+        first_violation=pair,
+        violation_distance=dist,
+        pairs_checked=npairs,
+    )
 
 
 def even_weight_obstruction_check(table: TruthTableMap) -> bool:

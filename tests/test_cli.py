@@ -226,20 +226,32 @@ class TestExplore:
         assert code == 0
         assert stdout.startswith("FOUND m=4\n")
 
-    def test_width_above_the_search_cap_is_refused(self, capsys):
-        # the cap binds at k >= 2: widths 6..26 are not multiples of 2^5
-        # and return at once, then m = 28 is refused
+    def test_k2_and_above_are_bounded_by_the_budget_alone(self, capsys):
+        # widths 2..28 are not multiples of 2^5 and return unsearched; the
+        # first searched width, m = 32, stops at the candidate past the budget
         code, stdout, stderr = run(
             capsys, "explore", "--n", "5", "--k", "5", "--m-max", "28"
         )
+        assert (code, stdout, stderr) == (2, "EXHAUSTED 0 candidates\n", "")
+        code, stdout, stderr = run(
+            capsys, "explore", "--n", "5", "--k", "5", "--m-max", "32",
+            "--budget", "1000",
+        )
         assert code == 1 and stdout == ""
-        assert stderr == "error: m=28 beyond search width cap 26\n"
+        assert stderr == (
+            "error: enumeration of 1001 candidates at m=32 exceeds budget 1000\n"
+        )
 
     def test_k1_searches_up_to_the_word_width(self, capsys):
         code, stdout, _ = run(capsys, "explore", "--n", "61", "--m-max", "62")
         assert code == 0
         assert stdout.startswith("FOUND m=62\n")
-        code, stdout, stderr = run(capsys, "explore", "--n", "64", "--m-max", "66")
+
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_width_above_the_word_width_is_refused(self, capsys, k):
+        code, stdout, stderr = run(
+            capsys, "explore", "--n", "64", "--k", k, "--m-max", "66"
+        )
         assert code == 1 and stdout == ""
         assert stderr == "error: m=66 beyond search width cap 64\n"
 
@@ -309,6 +321,30 @@ class TestContract:
         assert code == 1 and stdout == "" and not out.exists()
         lines = stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (
+                MemoryError("Unable to allocate 15.6 GiB for an array"),
+                "error: Unable to allocate 15.6 GiB for an array\n",
+            ),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+    )
+    def test_memory_error_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, exc, message
+    ):
+        # stands in for an allocation numpy refuses, as serializing
+        # g_table(28) would be; no large table is built here
+        def refuse(_):
+            raise exc
+
+        monkeypatch.setattr("dispdiff.cli.serialize_truth_table", refuse)
+        out = tmp_path / "g3.tt"
+        argv = ["construct", "diffusive", "--n", "3", "--out", str(out)]
+        assert run(capsys, *argv) == (1, "", message)
+        assert not out.exists()
 
     def test_construct_takes_no_budget(self, tmp_path, capsys):
         out = tmp_path / "g3.tt"

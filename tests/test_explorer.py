@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from dispdiff import (
 )
 from dispdiff.bitword import _weight_words, diff_patterns
 from dispdiff.cli import main
-from dispdiff.explorer import SearchOutcome
+from dispdiff.explorer import SearchOutcome, _rao_bound
 
 import naive
 from peakmem import peak_below
@@ -297,11 +298,17 @@ class TestSearch:
             search_linear_k_dispersive(2, 3, 4)
         with pytest.raises(ValueError):
             search_linear_k_dispersive(2, 1, 0)
-        # the width cap: the word width at k = 1, MAX_SEARCH_WIDTH above
-        with pytest.raises(ValueError, match="cap 64"):
-            search_linear_k_dispersive(2, 1, 66)
-        with pytest.raises(ValueError, match="cap 26"):
-            search_linear_k_dispersive(2, 2, 28)
+        # the one width cap is the word width, at every k
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="cap 64"):
+                search_linear_k_dispersive(2, k, 66)
+
+    def test_k2_searches_above_26(self):
+        outcome = search_linear_k_dispersive(2, 2, 28)
+        assert outcome.found
+        assert outcome.witness.generators == (0x3FFF, 0x1FC07F)
+        assert outcome.candidates_examined == 112849
+        assert verify_dispersive(outcome.witness, 2).passed
 
 
 def _first_k1_witness(n, m):
@@ -378,7 +385,7 @@ class TestWidthGates:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_gated_widths_are_the_index_and_rao_refutations(self, n):
         for k in range(1, n + 1):
-            for m in range(min_output_dim(n), 27, 2):
+            for m in range(min_output_dim(n), 65, 2):
                 refuted = m % 2**k != 0 or m < naive.rao_bound(n, k)
                 assert _gated(n, k, m) == refuted, (n, k, m)
 
@@ -420,6 +427,25 @@ class TestWidthGates:
                     assert m % 2**s == 0 and m >= naive.rao_bound(n, s)
         assert found == 63
 
+    def test_searched_widths_bound_the_work_per_candidate(self):
+        # every width the gates admit (the Rao bound in closed form; the
+        # test above checks it against naive.rao_bound) has k <= 6; a
+        # candidate is tested against the XORs of at most k - 1 of the
+        # n - 1 generators before it, and the search holds at most those of n
+        tests, held = {}, 0
+        for m in range(2, 65, 2):
+            for n in range(1, m + 1):
+                for k in range(1, n + 1):
+                    if m < min_output_dim(n) or m % 2**k or m < _rao_bound(n, k):
+                        continue
+                    assert k <= 6, (n, k, m)
+                    tests[n, k, m] = sum(comb(n - 1, j) for j in range(k))
+                    held = max(held, sum(comb(n, j) for j in range(k)))
+        most = max(tests.values())
+        assert most == 497 and held == 529
+        assert [c for c, v in tests.items() if v == most] == [(32, 3, 64)]
+        assert not _gated(32, 3, 64)  # the search does reach it
+
     def test_rao_refutes_6_4_16(self):
         # 2^4 divides 16, but an array of strength 4 on 6 factors needs
         # 1 + 6 + 15 = 22 runs
@@ -457,6 +483,16 @@ class TestMinLinearDim:
     def test_5_3_minimum_is_16(self, capsys):
         assert _explore(capsys, 5, 3, 16) == (0, "FOUND m=16")
 
+    def test_5_5_minimum_is_32(self, capsys):
+        # 2^5 divides no smaller width, so explore refutes m <= 30 unsearched;
+        # the search finds these rows at m = 32 in 195892565 candidates
+        # (about 2 minutes), too slow for this suite, so they are checked here
+        assert _explore(capsys, 5, 5, 30) == (2, "EXHAUSTED 0 candidates")
+        rows = (0xFFFF, 0xFF00FF, 0xF0F0F0F, 0x33333333, 0x55555555)
+        witness = LinearMap(5, 32, rows)
+        for k in range(1, 6):
+            assert verify_dispersive(witness, k).passed, k
+
     def test_none_when_out_of_range(self, capsys):
         assert _explore(capsys, 2, 2, 2) == (2, "EXHAUSTED 0 candidates")
 
@@ -486,8 +522,8 @@ def _brute_force_first_witness(n, k, m):
     return candidates([])
 
 
-# minimal linear k-dispersive widths the row search settles; (5, 5) needs
-# m = 32, beyond MAX_SEARCH_WIDTH
+# minimal linear k-dispersive widths the row search settles in tier-1 time;
+# (5, 5) = 32 is pinned by test_5_5_minimum_is_32
 MIN_LINEAR_WIDTHS = {
     1: [2],
     2: [2, 4],
