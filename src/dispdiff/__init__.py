@@ -33,12 +33,7 @@ from .diffusive import (
     quadruple_sum_check,
     verify_diffusive,
 )
-from .explorer import (
-    SearchOutcome,
-    search_linear_k_dispersive,
-    verify_k_dispersive,
-    verify_k_diffusive,
-)
+from .explorer import SearchOutcome, search_linear_k_dispersive
 from .f2linear import (
     LinearMap,
     TruthTableMap,
@@ -76,8 +71,6 @@ __all__ = [
     "verify_diffusive",
     "SearchOutcome",
     "search_linear_k_dispersive",
-    "verify_k_dispersive",
-    "verify_k_diffusive",
     "LinearMap",
     "TruthTableMap",
     "parse_generator_matrix",

@@ -96,8 +96,7 @@ def verify_diffusive(
     if isinstance(map_, LinearMap):
         npairs = pair_count(n, k)
         ij = [(i, j) for j in range(1, k + 1) for i in range(1, j + 1, 2)]
-        gens = map_.generators
-        weights = [sum(v >> (m - b) & 1 for v in gens) for b in range(1, m + 1)]
+        weights = [c.bit_count() for c in map_._columns()]
         odd = [sum(comb(w, i) * comb(n - w, j - i) for i, j in ij) for w in weights]
         sums = [c << (n - 1) for c in odd]
     else:

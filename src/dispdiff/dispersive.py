@@ -14,7 +14,7 @@ from __future__ import annotations
 from . import _scan
 from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, Record, pair_count
 from .bitword import _check_pairs, _check_width, diff_patterns, pair_space
-from .f2linear import LinearMap, TruthTableMap, _images, np
+from .f2linear import LinearMap, TruthTableMap, np
 
 
 class DispersionReport(Record):
@@ -73,16 +73,6 @@ def build_dispersive(n: int, target_m: int | None = None) -> LinearMap:
     return LinearMap(n, m, tuple(semi_weight_generators(m)[:n]))
 
 
-def _linear_violation(map_: LinearMap, k: int) -> tuple[int, int, int] | None:
-    """f(x) ^ f(x ^ d) = f(d), so the first failing pair of a linear map is
-    {0, d} for the first pattern d of weight 1..k whose image is not of
-    weight m/2. The pattern stream is read no further than that d."""
-    m = map_.output_dim
-    images = _images(map_, diff_patterns(map_.input_dim, k))
-    weights = ((d, f.bit_count()) for d, f in images)
-    return next(((0, d, w) for d, w in weights if 2 * w != m), None)
-
-
 def verify_dispersive(
     map_: LinearMap | TruthTableMap,
     k: int = 1,
@@ -106,7 +96,10 @@ def verify_dispersive(
     n = map_.input_dim
     if isinstance(map_, LinearMap):
         npairs = pair_count(n, k)
-        viol = _linear_violation(map_, k)
+        # f(x) ^ f(x ^ d) = f(d): the first failing pair is {0, d}
+        m = map_.output_dim
+        weights = ((d, map_._image(d).bit_count()) for d in diff_patterns(n, k))
+        viol = next(((0, d, w) for d, w in weights if 2 * w != m), None)
     else:
         npairs = pair_space(n, k, budget)
         values = _scan.table_values(map_)

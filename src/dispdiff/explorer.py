@@ -48,7 +48,8 @@ def verify_k_dispersive(
     budget: int = DEFAULT_PAIR_BUDGET,
     threads: int = 1,
 ) -> DispersionReport:
-    """verify_dispersive with k required; ``budget`` counts table pairs."""
+    """verify_dispersive with k required. Not exported: the CLI calls it
+    because perfbench/tracing.py wraps it, until ROADMAP item 6."""
     return verify_dispersive(map_, k, budget=budget, threads=threads)
 
 
@@ -59,7 +60,8 @@ def verify_k_diffusive(
     budget: int = DEFAULT_PAIR_BUDGET,
     threads: int = 1,
 ) -> DiffusionReport:
-    """verify_diffusive with k required; ``budget`` counts table pairs."""
+    """verify_diffusive with k required. Not exported: the CLI calls it
+    because perfbench/tracing.py wraps it, until ROADMAP item 6."""
     return verify_diffusive(map_, k, budget=budget, threads=threads)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .bitword import MAX_WIDTH, BitWord, Record
 
@@ -39,7 +39,9 @@ np = _lazy_numpy()
 class LinearMap(Record):
     input_dim: int
     output_dim: int
-    generators: tuple[int, ...]  # m-bit ints; row i is the image of input bit i
+    # m-bit ints: row i is the image of input bit 2^(n-i), and column b is
+    # output bit 2^(m-b). Other modules read them through _image, _columns.
+    generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n, m = self.input_dim, self.output_dim
@@ -59,7 +61,25 @@ class LinearMap(Record):
         """Image of x: XOR of the generators at the set bits of x."""
         if x.width != self.input_dim:
             raise ValueError(f"width mismatch: {x.width} != {self.input_dim}")
-        return BitWord(self.output_dim, next(_images(self, [x.value]))[1])
+        return BitWord(self.output_dim, self._image(x.value))
+
+    def _image(self, x: int) -> int:
+        """Image of the n-bit int x: XOR of row i over its set bits 2^(n-i)."""
+        acc = 0
+        while x:
+            low = x & -x
+            acc ^= self.generators[self.input_dim - low.bit_length()]
+            x ^= low
+        return acc
+
+    def _columns(self) -> list[int]:
+        """Columns 1..m, leftmost first, as n-bit ints with row 1 on top."""
+        n, m = self.input_dim, self.output_dim
+        rows = list(enumerate(self.generators, start=1))
+        return [
+            sum((g >> (m - b) & 1) << (n - i) for i, g in rows)
+            for b in range(1, m + 1)
+        ]
 
 
 class TruthTableMap(Record):
@@ -104,19 +124,6 @@ class TruthTableMap(Record):
         return BitWord(self.output_dim, int(self.values[x.value]))
 
 
-def _images(map_: LinearMap, xs: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """Each input value x in xs with its image, as ints, one at a time."""
-    n = map_.input_dim
-    gen_at = {1 << (n - i): g for i, g in enumerate(map_.generators, start=1)}
-    for x in xs:
-        acc, rest = 0, x
-        while rest:
-            low = rest & -rest
-            acc ^= gen_at[low]
-            rest ^= low
-        yield x, acc
-
-
 def rank(rows: Iterable[int]) -> int:
     """Rank of the integer rows over GF(2).
 
@@ -147,14 +154,7 @@ def transpose(map_: LinearMap) -> LinearMap:
     n, m = map_.input_dim, map_.output_dim
     if n != m:
         raise ValueError(f"transpose needs a square matrix, got {n}x{m}")
-    cols = []
-    for i in range(1, n + 1):
-        acc = 0
-        for j, g in enumerate(map_.generators, start=1):
-            bit = (g >> (m - i)) & 1
-            acc |= bit << (n - j)
-        cols.append(acc)
-    return LinearMap(n, m, tuple(cols))
+    return LinearMap(n, m, tuple(map_._columns()))
 
 
 MAX_TABLE_BITS = 28  # the largest table any call builds: 2^28 uint64s, 2 GiB

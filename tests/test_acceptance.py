@@ -179,7 +179,7 @@ def test_criterion_10_explorer_reproduces_table():
             assert (status, first) == (0, f"FOUND m={dd.min_output_dim(n)}")
         found = dd.search_linear_k_dispersive(2, 2, 4)
         assert found.found
-        assert dd.verify_k_dispersive(dd.tabulate(found.witness), 2).passed
+        assert dd.verify_dispersive(dd.tabulate(found.witness), 2).passed
         empty = dd.search_linear_k_dispersive(2, 2, 2)
         assert not empty.found
 

@@ -18,12 +18,15 @@ from dispdiff import (
     tabulate,
     verify_diffusive,
     verify_dispersive,
-    verify_k_dispersive,
-    verify_k_diffusive,
 )
 from dispdiff.bitword import _weight_words, diff_patterns
 from dispdiff.cli import main
-from dispdiff.explorer import SearchOutcome, _rao_bound
+from dispdiff.explorer import (
+    SearchOutcome,
+    _rao_bound,
+    verify_k_diffusive,
+    verify_k_dispersive,
+)
 
 import naive
 from peakmem import peak_below
@@ -47,12 +50,12 @@ class TestVerifyKDispersive:
 
     def test_witness_2_2_4(self):
         witness = LinearMap(2, 4, (0b0011, 0b0101))
-        report = verify_k_dispersive(tabulate(witness), 2)
+        report = verify_dispersive(tabulate(witness), 2)
         assert report.passed
         assert report.pairs_checked == 6
 
     def test_f6_at_k2_recorded_failure(self):
-        report = verify_k_dispersive(tabulate(build_dispersive(6)), 2)
+        report = verify_dispersive(tabulate(build_dispersive(6)), 2)
         assert not report.passed
         assert report.pairs_checked == 672
         x, y = report.first_violation
@@ -69,7 +72,7 @@ class TestVerifyKDispersive:
                 format(j, f"0{n}b"): format(v, f"0{table.output_dim}b")
                 for j, v in enumerate(table.values.tolist())
             }
-            report = verify_k_dispersive(table, k)
+            report = verify_dispersive(table, k)
             assert report.passed == naive.is_dispersive(as_dict, n, k)
             viols = naive.dispersion_violations(as_dict, n, k)
             if not viols:
@@ -91,13 +94,13 @@ class TestVerifyKDispersive:
     def test_k_validation(self):
         table = g_table(3)
         with pytest.raises(ValueError):
-            verify_k_dispersive(table, 0)
+            verify_dispersive(table, 0)
         with pytest.raises(ValueError):
-            verify_k_dispersive(table, 4)
+            verify_dispersive(table, 4)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            verify_k_dispersive(g_table(4), 2, budget=10)
+            verify_dispersive(g_table(4), 2, budget=10)
 
 
 class TestVerifyKDiffusive:
@@ -109,7 +112,7 @@ class TestVerifyKDiffusive:
             assert verify_k_diffusive(table, 1) == verify_diffusive(table)
 
     def test_g3_k3_recorded_outcome(self):
-        report = verify_k_diffusive(g_table(3), 3)
+        report = verify_diffusive(g_table(3), 3)
         assert report.pairs_checked == 28
         assert report.target == Fraction(28, 2) == 14
         assert report.per_bit_sums == (16, 16, 16)
@@ -117,7 +120,7 @@ class TestVerifyKDiffusive:
 
     def test_identity2_k2(self):
         ident = TruthTableMap(2, 2, np.arange(4, dtype=np.uint64))
-        report = verify_k_diffusive(ident, 2)
+        report = verify_diffusive(ident, 2)
         assert report.pairs_checked == 6
         assert report.target == Fraction(3)
         assert report.per_bit_sums == (4, 4)
@@ -133,7 +136,7 @@ class TestVerifyKDiffusive:
                 format(j, f"0{n}b"): format(v, f"0{table.output_dim}b")
                 for j, v in enumerate(table.values.tolist())
             }
-            report = verify_k_diffusive(table, k)
+            report = verify_diffusive(table, k)
             assert list(report.per_bit_sums) == naive.diffusion_sums(
                 as_dict, n, k
             )
@@ -152,7 +155,7 @@ class TestVerifyKDiffusive:
     def test_one_bit_inputs_rejected(self):
         table = TruthTableMap(1, 2, np.array([0, 1], dtype=np.uint64))
         with pytest.raises(ValueError):
-            verify_k_diffusive(table, 1)
+            verify_diffusive(table, 1)
 
 
 class TestSearch:
@@ -162,7 +165,7 @@ class TestSearch:
         gens = [format(g, "04b") for g in outcome.witness.generators]
         assert gens == ["0011", "0101"]
         # witness verified through the independent enumerative route
-        assert verify_k_dispersive(tabulate(outcome.witness), 2).passed
+        assert verify_dispersive(tabulate(outcome.witness), 2).passed
 
     def test_exhausted_2_2_2(self):
         # 4 does not divide 2: the index rule refutes it unsearched
@@ -201,7 +204,7 @@ class TestSearch:
         for n, k, m in [(1, 1, 2), (2, 1, 2), (3, 1, 4), (2, 2, 4), (3, 2, 6)]:
             outcome = search_linear_k_dispersive(n, k, m)
             if outcome.found:
-                report = verify_k_dispersive(tabulate(outcome.witness), k)
+                report = verify_dispersive(tabulate(outcome.witness), k)
                 assert report.passed
 
     def test_budget_cutoff(self):
@@ -226,7 +229,7 @@ class TestSearch:
         got = (outcome.found, outcome.candidates_examined)
         assert got == expected
         if outcome.found:
-            assert verify_k_dispersive(tabulate(outcome.witness), k).passed
+            assert verify_dispersive(tabulate(outcome.witness), k).passed
 
     def test_budget_bounds_a_whole_width(self):
         # the candidates are streamed, so budget=1 at m=24 builds nothing
@@ -422,7 +425,7 @@ class TestWidthGates:
                     table = tabulate(outcome.witness)
                     s = max(
                         s for s in range(k, n + 1)
-                        if verify_k_dispersive(table, s).passed
+                        if verify_dispersive(table, s).passed
                     )
                     assert m % 2**s == 0 and m >= naive.rao_bound(n, s)
         assert found == 63
@@ -461,6 +464,17 @@ def _explore(capsys, n, k, m_max):
     return status, capsys.readouterr().out.splitlines()[0]
 
 
+def _counting_matrix(n):
+    """The n x 2^n matrix whose column c reads c - 1 in binary, top to
+    bottom: every nonzero XOR of its rows has weight 2^(n-1)."""
+    m = 2**n
+    rows = [
+        sum((c >> (n - i) & 1) << (m - 1 - c) for c in range(m))
+        for i in range(1, n + 1)
+    ]
+    return LinearMap(n, m, tuple(rows))
+
+
 class TestMinLinearDim:
     """Minimal linear widths, found by `dispdiff explore`'s width loop."""
 
@@ -483,15 +497,20 @@ class TestMinLinearDim:
     def test_5_3_minimum_is_16(self, capsys):
         assert _explore(capsys, 5, 3, 16) == (0, "FOUND m=16")
 
-    def test_5_5_minimum_is_32(self, capsys):
-        # 2^5 divides no smaller width, so explore refutes m <= 30 unsearched;
-        # the search finds these rows at m = 32 in 195892565 candidates
-        # (about 2 minutes), too slow for this suite, so they are checked here
-        assert _explore(capsys, 5, 5, 30) == (2, "EXHAUSTED 0 candidates")
-        rows = (0xFFFF, 0xFF00FF, 0xF0F0F0F, 0x33333333, 0x55555555)
-        witness = LinearMap(5, 32, rows)
-        for k in range(1, 6):
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_k_equals_n_minimum_is_the_counting_matrix(self, n, capsys):
+        # 2^n divides no smaller width, so explore refutes m <= 2^n - 2
+        # unsearched, and the counting matrix meets 2^n; the search finds
+        # it too, but at n = 5 only after 195892565 candidates (2 minutes)
+        witness = _counting_matrix(n)
+        if n == 5:
+            rows = (0xFFFF, 0xFF00FF, 0xF0F0F0F, 0x33333333, 0x55555555)
+            assert witness.generators == rows
+        for k in range(1, n + 1):
             assert verify_dispersive(witness, k).passed, k
+        assert _explore(capsys, n, n, 2**n - 2) == (2, "EXHAUSTED 0 candidates")
+        if n <= 4:
+            assert search_linear_k_dispersive(n, n, 2**n).witness == witness
 
     def test_none_when_out_of_range(self, capsys):
         assert _explore(capsys, 2, 2, 2) == (2, "EXHAUSTED 0 candidates")
@@ -523,7 +542,8 @@ def _brute_force_first_witness(n, k, m):
 
 
 # minimal linear k-dispersive widths the row search settles in tier-1 time;
-# (5, 5) = 32 is pinned by test_5_5_minimum_is_32
+# k = n (2^n, the counting matrix) is pinned to n = 6 by
+# test_k_equals_n_minimum_is_the_counting_matrix
 MIN_LINEAR_WIDTHS = {
     1: [2],
     2: [2, 4],

@@ -31,6 +31,8 @@ REMOVED = [
     "min_linear_dim_k",
     "apply",
     "verify_dispersive_linear",
+    "verify_k_dispersive",
+    "verify_k_diffusive",
 ]
 
 
