@@ -23,6 +23,7 @@ from .explorer import (
 )
 from .f2linear import (
     LinearMap,
+    TruthTableMap,
     parse_map_file,
     rank,
     serialize_generator_matrix,
@@ -90,20 +91,30 @@ def cmd_construct(args: argparse.Namespace) -> int:
         raise ValueError("--m only applies to dispersive constructions")
     if args.kind == "dispersive":
         built = build_dispersive(args.n, args.m)
-        text = serialize_generator_matrix(built)
+        data = serialize_generator_matrix(built)
     elif args.kind == "column-diffusive":
         built = column_diffusive(args.n)
-        text = serialize_generator_matrix(built)
+        data = serialize_generator_matrix(built)
     else:
         built = g_table(args.n)
-        text = serialize_truth_table(built)
-    Path(args.out).write_text(text)
+        data = serialize_truth_table(built)
+    Path(args.out).write_bytes(data)
     print(f"m={built.output_dim}")
     return 0
 
 
+def _read_map_file(path: str) -> LinearMap | TruthTableMap:
+    """Parse the map file at path from its bytes. A file that is not pure
+    ASCII, or that holds a \r, is read as text first: it decodes, or fails
+    to, as read_text decodes it, universal newlines included."""
+    data = Path(path).read_bytes()
+    if not data.isascii() or b"\r" in data:
+        data = Path(path).read_text().encode()
+    return parse_map_file(data)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
-    map_ = parse_map_file(Path(args.map_file).read_text())
+    map_ = _read_map_file(args.map_file)
     print(map_.lookup(BitWord.parse(args.input)))
     return 0
 
@@ -111,7 +122,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
-    map_ = parse_map_file(Path(args.map_file).read_text())
+    map_ = _read_map_file(args.map_file)
     if args.property == "dispersive":
         verify, format_report = verify_k_dispersive, format_dispersion_report
     else:
@@ -131,14 +142,14 @@ def cmd_explore(args: argparse.Namespace) -> int:
         total += outcome.candidates_examined
         if outcome.found:
             print(f"FOUND m={m}")
-            sys.stdout.write(serialize_generator_matrix(outcome.witness))
+            sys.stdout.write(serialize_generator_matrix(outcome.witness).decode())
             return 0
     print(f"EXHAUSTED {total} candidates")
     return 2
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    map_ = parse_map_file(Path(args.map_file).read_text())
+    map_ = _read_map_file(args.map_file)
     if isinstance(map_, LinearMap):
         print(
             f"generator matrix n={map_.input_dim} m={map_.output_dim} "

@@ -98,12 +98,13 @@ class TruthTableMap(Record):
             raise ValueError(f"dimensions must be in 1..{MAX_WIDTH}")
         entries = self.values
         ok = isinstance(entries, np.ndarray) and entries.dtype.kind in "ui"
-        if not ok or np.any(entries < 0):
+        if not ok or (entries.dtype.kind == "i" and np.any(entries < 0)):
             raise ValueError("table values must be a non-negative integer array")
         values = np.array(entries, dtype=np.uint64)
         if values.shape != (1 << n,):
             raise ValueError(f"table must have {1 << n} entries, got {values.size}")
-        if m < MAX_WIDTH and np.any(values >> np.uint64(m)):
+        # the widest entry alone is shifted: no table-sized temporary
+        if int(values.max()) >> m:
             raise ValueError(f"table entry wider than output dim {m}")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -183,42 +184,52 @@ def tabulate(map_: LinearMap) -> TruthTableMap:
 
 
 # ---------------------------------------------------------------------------
-# File formats. Both start with a "n m" header line. A generator matrix
-# file follows with n rows of m characters; a truth table file with 2^n
-# lines "input output" in ascending input order. Serialization is
-# canonical (single \n separators, trailing newline) so files round-trip
-# byte for byte.
+# File formats. A map file is ASCII bytes, and both formats start with a
+# "n m" header line. A generator matrix file follows with n rows of m
+# characters; a truth table file with 2^n lines "input output" in
+# ascending input order. Serialization is canonical (single \n
+# separators, trailing newline) so files round-trip byte for byte. The
+# parsers take the file's bytes; only the lines they read as words or
+# quote in a message are decoded.
 
 
-def serialize_generator_matrix(map_: LinearMap) -> str:
+def serialize_generator_matrix(map_: LinearMap) -> bytes:
     lines = [f"{map_.input_dim} {map_.output_dim}"]
     lines.extend(format(g, f"0{map_.output_dim}b") for g in map_.generators)
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
-def parse_generator_matrix(text: str) -> LinearMap:
-    _header_end(text)
-    lines = text[:-1].split("\n")
-    n, m = _parse_header(lines[0])
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} rows after header, got {len(lines) - 1}")
-    rows = [BitWord.parse(row) for row in lines[1:]]
+def parse_generator_matrix(data: bytes) -> LinearMap:
+    header_end = _header_end(data)
+    n, m = _parse_header(data[:header_end])
+    count = data.count(b"\n") - 1
+    if count != n:
+        raise ValueError(f"expected {n} rows after header, got {count}")
+    lines = _decode(data[header_end + 1 : -1]).split("\n")
+    rows = [BitWord.parse(row) for row in lines]
     for row in rows:
         if row.width != m:
             raise ValueError(f"generator width {row.width} != output dim {m}")
     return LinearMap(n, m, tuple(row.value for row in rows))
 
 
-def serialize_truth_table(map_: TruthTableMap) -> str:
+def serialize_truth_table(map_: TruthTableMap) -> bytearray:
     """The canonical table file, "n m" then one "input output" line per
-    entry, written as one uint8 array: each digit column is set for every
-    line at once, so no Python loop runs per line."""
+    entry. Its bytes are filled in place as one uint8 array: each digit
+    column is set for every line of a block at once, so no Python loop
+    runs per line."""
     n, m = map_.input_dim, map_.output_dim
     header = f"{n} {m}\n".encode()
     width = n + m + 2
-    flat = np.empty(len(header) + table_size(n) * width, dtype=np.uint8)
-    flat[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-    rows = flat[len(header) :].reshape(-1, width)
+    size = len(header) + table_size(n) * width
+    try:
+        data = bytearray(size)
+    except MemoryError:  # Python's, unlike numpy's, names no size
+        raise MemoryError(
+            f"Unable to allocate {size} bytes for the table file"
+        ) from None
+    data[: len(header)] = header
+    rows = np.frombuffer(data, dtype=np.uint8)[len(header) :].reshape(-1, width)
     for lo in range(0, len(rows), _BLOCK_ROWS):
         block = rows[lo : lo + _BLOCK_ROWS]
         hi = lo + len(block)
@@ -226,10 +237,10 @@ def serialize_truth_table(map_: TruthTableMap) -> str:
         block[:, n] = ord(" ")
         _write_bits(block[:, n + 1 : -1], map_.values[lo:hi])
         block[:, -1] = ord("\n")
-    return str(flat.data, "ascii")
+    return data
 
 
-def parse_truth_table(text: str) -> TruthTableMap:
+def parse_truth_table(data: bytes) -> TruthTableMap:
     """Read a table file in one array pass over its lines.
 
     The header checks come first, then the entry count. The lines are
@@ -237,16 +248,15 @@ def parse_truth_table(text: str) -> TruthTableMap:
     not canonical, if any, goes to ``_check_table_line``, which formats
     the same message the per-line reading would raise first.
     """
-    header_end = _header_end(text)
-    n, m = _parse_header(text[:header_end])
+    header_end = _header_end(data)
+    n, m = _parse_header(data[:header_end])
     size = table_size(n)
-    entries = text.count("\n") - 1
+    entries = data.count(b"\n") - 1
     if entries != size:
         raise ValueError(f"expected {size} entries after header, got {entries}")
-    # "replace" turns each non-ASCII character into one b"?", which no
-    # canonical line holds, so byte offsets stay str offsets
-    data = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
-    body = data[header_end + 1 :]
+    # read in place; a line holding a byte above 127 is not canonical, so
+    # the lines before the first bad one are ASCII, one byte per character
+    body = np.frombuffer(data, dtype=np.uint8)[header_end + 1 :]
     width = n + m + 2
     # lines before the first one of the wrong length sit at multiples of
     # width; that line itself fails the column checks or starts row `fit`
@@ -268,7 +278,7 @@ def parse_truth_table(text: str) -> TruthTableMap:
     j = int(np.argmax(flagged))
     if j < size:
         start = header_end + 1 + j * width
-        _check_table_line(j, text[start : text.index("\n", start)], n, m)
+        _check_table_line(j, _decode(data[start : data.index(b"\n", start)]), n, m)
         raise AssertionError(f"table line {j} flagged but canonical")
     return TruthTableMap(n, m, values)
 
@@ -317,30 +327,36 @@ def _check_table_line(j: int, line: str, n: int, m: int) -> None:
         raise ValueError(f"output width {len(out)} != {m}")
 
 
-def parse_map_file(text: str) -> LinearMap | TruthTableMap:
+def parse_map_file(data: bytes) -> LinearMap | TruthTableMap:
     """Sniff the format from line 2: table lines carry two fields, matrix rows one."""
-    # only line 2 is cut out: splitting the whole text would copy a table
-    header_end = _header_end(text)
-    line2_end = text.find("\n", header_end + 1)
+    # only line 2 is cut out: splitting the whole file would copy a table
+    header_end = _header_end(data)
+    line2_end = data.find(b"\n", header_end + 1)
     if line2_end < 0:
         raise ValueError("map file needs a header and at least one row")
-    if " " in text[header_end + 1 : line2_end]:
-        return parse_truth_table(text)
-    return parse_generator_matrix(text)
+    if b" " in data[header_end + 1 : line2_end]:
+        return parse_truth_table(data)
+    return parse_generator_matrix(data)
 
 
-def _header_end(text: str) -> int:
+def _header_end(data: bytes) -> int:
     """Offset of the newline that ends the header line, after the checks
     that come first in every map file."""
-    if not text.endswith("\n"):
+    if not data.endswith(b"\n"):
         raise ValueError("map file must end with a newline")
-    end = text.index("\n")
+    end = data.index(b"\n")
     if end == 0:
         raise ValueError("empty map file")
     return end
 
 
-def _parse_header(line: str) -> tuple[int, int]:
+def _decode(line: bytes) -> str:
+    # UTF-8, as a text file is read; a byte it cannot decode becomes U+FFFD
+    return line.decode("utf-8", "replace")
+
+
+def _parse_header(header: bytes) -> tuple[int, int]:
+    line = _decode(header)
     parts = line.split(" ")
     try:
         n, m = map(int, parts)

@@ -34,8 +34,8 @@ def test_every_wrapped_layer_is_called(tmp_path, capsys):
     # a call that bypasses a wrapped binding drops its layer from the trace
     tracing = _load_tracing()
     g5, f5_table, f5_matrix = (tmp_path / n for n in ("g5.tt", "f5.tt", "f5.gm"))
-    f5_table.write_text(serialize_truth_table(tabulate(build_dispersive(5))))
-    f5_matrix.write_text(serialize_generator_matrix(build_dispersive(5)))
+    f5_table.write_bytes(serialize_truth_table(tabulate(build_dispersive(5))))
+    f5_matrix.write_bytes(serialize_generator_matrix(build_dispersive(5)))
     tracer = tracing.Tracer()
     with tracer.installed():
         tracer.main(["construct", "diffusive", "--n", "5", "--out", str(g5)])
@@ -56,8 +56,8 @@ def test_each_command_calls_its_own_layers(tmp_path, capsys):
     # shows even while another command keeps the layer in the trace
     tracing = _load_tracing()
     g5, f5_table, f5_matrix = (tmp_path / n for n in ("g5.tt", "f5.tt", "f5.gm"))
-    f5_table.write_text(serialize_truth_table(tabulate(build_dispersive(5))))
-    f5_matrix.write_text(serialize_generator_matrix(build_dispersive(5)))
+    f5_table.write_bytes(serialize_truth_table(tabulate(build_dispersive(5))))
+    f5_matrix.write_bytes(serialize_generator_matrix(build_dispersive(5)))
     verify = {"cli", "f2linear.parse_map_file", "explorer.verify_k"}
     expected = [
         (

@@ -58,7 +58,7 @@ class TestConstruct:
         )
         assert code == 0
         assert stdout == "m=3\n"
-        assert out.read_text() == serialize_truth_table(g_table(3))
+        assert out.read_bytes() == serialize_truth_table(g_table(3))
         assert len(out.read_text().splitlines()) == 9
 
     def test_column_diffusive(self, tmp_path, capsys):
@@ -358,12 +358,12 @@ class TestContract:
         path = tmp_path / "f7.gm"
         main(["construct", "dispersive", "--n", "7", "--out", str(path)])
         capsys.readouterr()
-        text = path.read_text()
-        assert serialize_generator_matrix(parse_map_file(text)) == text
+        data = path.read_bytes()
+        assert serialize_generator_matrix(parse_map_file(data)) == data
 
     def test_closed_stdout_exits_one_quietly(self, tmp_path):
         path = tmp_path / "g6.tt"
-        path.write_text(serialize_truth_table(g_table(6)))
+        path.write_bytes(serialize_truth_table(g_table(6)))
         src = str(Path(dispdiff.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         read_end, write_end = os.pipe()
@@ -384,6 +384,50 @@ class TestContract:
             assert code == 0
             runs.append(stdout)
         assert runs[0] == runs[1]
+
+
+class TestFilesReadAsText:
+    """A map file is read as bytes, but one that is not pure ASCII, or that
+    holds a \r, is decoded as text first: it parses, or fails with the
+    message, as when every file was read as text."""
+
+    NO_N1 = (
+        "error: no diffusive map exists on 1-bit inputs: the required "
+        "per-bit sum n * 2^(n-2) is not an integer\n"
+    )
+    NOT_UTF8 = (
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
+
+    @pytest.mark.parametrize(
+        "data, info, verify",
+        [
+            (
+                b"1 2\r\n0 01\r\n1 10\r\n",
+                (0, "truth table n=1 m=2 injective=yes\n", ""),
+                (1, "", NO_N1),
+            ),
+            (
+                b"2 2\r\n10\r\n01\r\n",
+                (0, "generator matrix n=2 m=2 rank=2\n", ""),
+                (0, "bit 1: 2/2\nbit 2: 2/2\nPASS\n", ""),
+            ),
+            (
+                "1 2\n0 0\u06611\n1 10\n".encode(),
+                (1, "", "error: not a binary word: '0\u06611'\n"),
+                (1, "", "error: not a binary word: '0\u06611'\n"),
+            ),
+            # the fuzz corpus's "binary" file
+            (b"\xff\xfe\x00\n", (1, "", NOT_UTF8), (1, "", NOT_UTF8)),
+        ],
+        ids=["crlf-table", "crlf-matrix", "non-ascii-table", "not-utf8"],
+    )
+    def test_outcome_as_text(self, tmp_path, capsys, data, info, verify):
+        path = tmp_path / "map"
+        path.write_bytes(data)
+        assert run(capsys, "info", str(path)) == info
+        assert run(capsys, "verify", "diffusive", str(path)) == verify
 
 
 class TestConstructVerifyRoundTrip:
@@ -417,5 +461,5 @@ class TestConstructVerifyRoundTrip:
         # serialized form survives a parse/re-serialize cycle untouched
         from dispdiff import parse_map_file, serialize_generator_matrix
 
-        text = path.read_text()
-        assert serialize_generator_matrix(parse_map_file(text)) == text
+        data = path.read_bytes()
+        assert serialize_generator_matrix(parse_map_file(data)) == data

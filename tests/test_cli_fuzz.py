@@ -21,8 +21,8 @@ from dispdiff import (
 from dispdiff.cli import main
 
 CORPUS = {
-    "g6.tt": serialize_truth_table(g_table(6)).encode(),
-    "f10.gm": serialize_generator_matrix(build_dispersive(10)).encode(),
+    "g6.tt": serialize_truth_table(g_table(6)),
+    "f10.gm": serialize_generator_matrix(build_dispersive(10)),
     "id3.gm": b"3 3\n100\n010\n001\n",
     "zero2.tt": b"2 2\n00 00\n01 00\n10 00\n11 00\n",
     "wide.gm": b"40 2\n" + b"10\n" * 40,  # tabulating it exceeds the table cap

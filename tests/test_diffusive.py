@@ -100,8 +100,8 @@ class TestGTable:
         assert g_table(n).values.tolist() == expected
 
     def test_n18_file_hash(self):
-        text = serialize_truth_table(g_table(18))
-        assert hashlib.sha256(text.encode()).hexdigest() == G18_SHA256
+        data = serialize_truth_table(g_table(18))
+        assert hashlib.sha256(data).hexdigest() == G18_SHA256
 
     def test_n20_peak_memory(self):
         # in place, g needs the 8 MiB table and one temporary of its size;

@@ -191,7 +191,7 @@ class TestTabulate:
         with peak_below(), pytest.raises(ValueError, match=r"n=29 .* 2\^28 entries"):
             tabulate(big)
         with pytest.raises(ValueError, match=r"n=29 .* 2\^28 entries"):
-            parse_truth_table("29 1\n" + "0" * 29 + " 1\n")
+            parse_truth_table(b"29 1\n" + b"0" * 29 + b" 1\n")
 
 
 class TestTruthTableMap:
@@ -219,12 +219,12 @@ matrix_st = st.integers(min_value=1, max_value=6).flatmap(
 class TestFileFormats:
     def test_generator_exact_text(self):
         text = serialize_generator_matrix(lin(F3))
-        assert text == "3 4\n1100\n0110\n0101\n"
+        assert text == b"3 4\n1100\n0110\n0101\n"
         assert parse_generator_matrix(text) == lin(F3)
 
     def test_truth_table_exact_text(self):
         text = serialize_truth_table(tabulate(identity_map(2)))
-        assert text == "2 2\n00 00\n01 01\n10 10\n11 11\n"
+        assert text == b"2 2\n00 00\n01 01\n10 10\n11 11\n"
 
     @given(matrix_st)
     def test_generator_roundtrip(self, mp):
@@ -261,7 +261,7 @@ class TestFileFormats:
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
-            parse_map_file(bad)
+            parse_map_file(bad.encode())
 
 
 @pytest.mark.parametrize("n, m", [(0, 2), (65, 2), (2, 0), (2, 65)])

@@ -109,12 +109,12 @@ def test_table_commands_load_numpy_on_first_use(
 ):
     # first=1 writes g6.tt beforehand, so the first load comes in the
     # threaded verify, which must make it before any worker starts
-    text = serialize_truth_table(g_table(6))
-    setup = (lambda d: (d / "g6.tt").write_text(text)) if first else lambda d: None
+    data = serialize_truth_table(g_table(6))
+    setup = (lambda d: (d / "g6.tt").write_bytes(data)) if first else lambda d: None
     report = compare(TABLE_COMMANDS[first:], tmp_path, monkeypatch, capsys, setup)
     assert report["runs"][0][0] == 0
     assert report["numpy_loaded"]
-    assert (tmp_path / "child" / "g6.tt").read_text() == text
+    assert (tmp_path / "child" / "g6.tt").read_bytes() == data
 
 
 def test_import_after_numpy_reuses_it(tmp_path):

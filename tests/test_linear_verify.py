@@ -104,8 +104,8 @@ def test_wide_matrix_is_decided_at_the_default_budget(tmp_path, capsys):
 def test_matrix_is_decided_at_budget_4(tmp_path, capsys):
     f6 = build_dispersive(6)
     matrix, table = tmp_path / "f6.gm", tmp_path / "f6.tt"
-    matrix.write_text(serialize_generator_matrix(f6))
-    table.write_text(serialize_truth_table(tabulate(f6)))
+    matrix.write_bytes(serialize_generator_matrix(f6))
+    table.write_bytes(serialize_truth_table(tabulate(f6)))
     passed = (0, "PASS\n", "")
     assert _verify_lines(capsys, "dispersive", matrix, "--budget", "4") == passed
     refused = (1, "", "error: enumeration of 192 pairs exceeds budget 4\n")

@@ -29,7 +29,7 @@ ONE_BIT = (
     "sum n * 2^(n-2) is not an integer"
 )
 
-WIDE = parse_map_file("40 2\n" + "10\n" * 40)
+WIDE = parse_map_file(b"40 2\n" + b"10\n" * 40)
 F6 = build_dispersive(6)
 ONE_INPUT = [
     TruthTableMap(1, 1, np.array([0, 1], dtype=np.uint64)),

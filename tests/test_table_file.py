@@ -1,6 +1,8 @@
 """The table file's array passes against the per-line reader and writer
-in ``naive``: byte-identical text, equal tables, and the same message for
-every malformed file, with the per-line checker run on one line at most."""
+in ``naive``: byte-identical files, equal tables, and the same message for
+every malformed file, with the per-line checker run on one line at most.
+The array passes take and give bytes; ``naive`` reads and writes text, and
+a file's bytes are its text encoded as UTF-8."""
 
 import random
 from contextlib import contextmanager
@@ -19,7 +21,8 @@ from dispdiff import (
     serialize_truth_table,
 )
 from dispdiff import f2linear
-from peakmem import peak_below
+from dispdiff.cli import main
+from peakmem import MB, peak_below
 
 
 def _random_table(rng: random.Random, n: int, m: int) -> TruthTableMap:
@@ -36,10 +39,10 @@ def _tables():
         yield _random_table(rng, rng.randint(1, 12), rng.randint(1, 64))
 
 
-def _outcome(parse, text: str):
-    """What parse makes of text: the table as (n, m, outputs) or the message."""
+def _outcome(parse, file):
+    """What parse makes of a file: the table as (n, m, outputs) or the message."""
     try:
-        parsed = parse(text)
+        parsed = parse(file)
     except ValueError as exc:
         return str(exc)
     if isinstance(parsed, TruthTableMap):
@@ -70,11 +73,11 @@ def checked_lines():
 )
 def test_matches_per_line_reader_and_writer(table):
     n, m, values = table.input_dim, table.output_dim, table.values.tolist()
-    text = serialize_truth_table(table)
-    assert text == naive.serialize_table(n, m, values)
+    data = serialize_truth_table(table)
+    assert data == naive.serialize_table(n, m, values).encode()
     with checked_lines() as seen:
-        assert parse_truth_table(text) == table
-    assert naive.parse_table(text) == (n, m, values)
+        assert parse_truth_table(data) == table
+    assert naive.parse_table(data.decode()) == (n, m, values)
     assert seen == []
 
 
@@ -88,7 +91,7 @@ def malformed_tables(draw) -> str:
     lines swapped, a line repeated, or the final newline dropped."""
     n = draw(st.integers(1, 6))
     table = g_table(n) if n > 1 else TruthTableMap(1, 2, np.array([1, 2], dtype=np.uint64))
-    text = serialize_truth_table(table)
+    text = serialize_truth_table(table).decode()
     # faults uniform over the text: Hypothesis's own draws favour 0
     rng = random.Random(draw(st.integers(0, 2**32)))
     for _ in range(draw(st.integers(1, 3))):
@@ -118,7 +121,9 @@ def malformed_tables(draw) -> str:
 @given(malformed_tables())
 def test_malformed_files_fail_as_the_per_line_reader_does(text):
     with checked_lines() as seen:
-        assert _outcome(parse_truth_table, text) == _outcome(naive.parse_table, text)
+        assert _outcome(parse_truth_table, text.encode()) == _outcome(
+            naive.parse_table, text
+        )
     assert len(seen) <= 1
 
 
@@ -135,23 +140,57 @@ def test_malformed_files_fail_as_the_per_line_reader_does(text):
 )
 def test_first_fault_message(text, message):
     with checked_lines() as seen, pytest.raises(ValueError) as exc:
-        parse_truth_table(text)
+        parse_truth_table(text.encode())
     assert str(exc.value) == message == _outcome(naive.parse_table, text)
     assert len(seen) <= 1
 
 
+def test_undecodable_byte_is_quoted_as_a_replacement_character():
+    # the parsers take any bytes; only the line a message quotes is decoded
+    with pytest.raises(ValueError, match="^not a binary word: '0\ufffd1'$"):
+        parse_truth_table(b"1 2\n0 0\xff1\n1 10\n")
+
+
+def test_refused_file_allocation_names_its_size(monkeypatch):
+    # a file of 2^50 lines is more than any address space holds
+    monkeypatch.setattr(f2linear, "table_size", lambda n: 1 << 50)
+    size = len(b"2 2\n") + 6 * (1 << 50)
+    message = f"^Unable to allocate {size} bytes for the table file$"
+    with pytest.raises(MemoryError, match=message):
+        serialize_truth_table(g_table(2))
+
+
 class TestPeakMemory:
-    """At n = 20 the text is 44 MB; each pass holds it about twice."""
+    """At n = 20 the file is 42 MiB and the table 8 MiB. The file's bytes
+    are held once: serializing fills them in place, parsing reads them in
+    place, and the CLI writes and reads them with no text copy."""
+
+    N = 20
+    FILE_BYTES = len(b"20 20\n") + ((2 * N + 2) << N)
 
     def test_serialize(self):
-        table = g_table(20)
-        limit = 5 * len(serialize_truth_table(table)) // 2
-        with peak_below(limit):
-            serialize_truth_table(table)
+        table = g_table(self.N)
+        with peak_below(self.FILE_BYTES + 2 * MB):
+            data = serialize_truth_table(table)
+        assert len(data) == self.FILE_BYTES
 
     def test_parse(self):
-        table = g_table(20)
-        text = serialize_truth_table(table)
-        with peak_below(5 * len(text) // 2):
-            parsed = parse_map_file(text)
+        table = g_table(self.N)
+        data = serialize_truth_table(table)
+        with peak_below(self.FILE_BYTES // 2):
+            parsed = parse_map_file(data)
         assert parsed == table
+
+    def test_construct_command(self, tmp_path, capsys):
+        path = tmp_path / "g20.tt"
+        argv = ["construct", "diffusive", "--n", str(self.N), "--out", str(path)]
+        with peak_below(3 * self.FILE_BYTES // 2):
+            assert main(argv) == 0
+        assert path.read_bytes() == serialize_truth_table(g_table(self.N))
+
+    def test_verify_command(self, tmp_path, capsys):
+        path = tmp_path / "g20.tt"
+        path.write_bytes(serialize_truth_table(g_table(self.N)))
+        with peak_below(3 * self.FILE_BYTES // 2):
+            assert main(["verify", "diffusive", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("PASS\n")

@@ -71,8 +71,15 @@ class TestConstruction:
         [(2, [0, 4]), (1, [2, 1]), (63, [0, 1 << 63])],
     )
     def test_entry_wider_than_output_dim_rejected(self, m, values):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"wider than output dim {m}$"):
             TruthTableMap(1, m, np.array(values, dtype=np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_signed_entries_must_be_non_negative(self, dtype):
+        table = TruthTableMap(1, 2, np.array([0, 3], dtype=dtype))
+        assert table.values.tolist() == [0, 3]
+        with pytest.raises(ValueError, match="non-negative integer array"):
+            TruthTableMap(1, 2, np.array([0, -1], dtype=dtype))
 
     def test_full_width_entries_accepted(self):
         table = TruthTableMap(1, 64, np.array([0, (1 << 64) - 1], dtype=np.uint64))
@@ -118,7 +125,7 @@ class TestArrayPaths:
     def test_serialize_parse_roundtrip(self, table):
         text = serialize_truth_table(table)
         assert parse_truth_table(text) == table
-        assert text.splitlines()[1:] == [
+        assert text.decode().splitlines()[1:] == [
             f"{format(j, f'0{table.input_dim}b')} {format(v, f'0{table.output_dim}b')}"
             for j, v in enumerate(table.values.tolist())
         ]
@@ -190,7 +197,7 @@ class TestParseMapFile:
     @pytest.mark.parametrize("word", ["0_1", "\t01", "01\t", "\u0661\u0660\u0661"])
     def test_words_int_would_accept_are_rejected(self, word):
         with pytest.raises(ValueError, match="not a binary word"):
-            parse_map_file(f"1 3\n0 {word}\n1 101\n")
+            parse_map_file(f"1 3\n0 {word}\n1 101\n".encode())
 
     @pytest.mark.parametrize("field", ["+2", "02", "0_2", "\u0662"])
     @pytest.mark.parametrize(
@@ -199,15 +206,15 @@ class TestParseMapFile:
         ids=["n", "m"],
     )
     def test_header_fields_int_would_accept_are_rejected(self, field, header, rows):
-        parse_map_file(f"{header.format(2)}\n{rows}")  # valid when canonical
+        parse_map_file(f"{header.format(2)}\n{rows}".encode())  # valid when canonical
         with pytest.raises(ValueError, match="bad header line"):
-            parse_map_file(f"{header.format(field)}\n{rows}")
+            parse_map_file(f"{header.format(field)}\n{rows}".encode())
 
     @given(header_ints, header_ints, rows_st, st.booleans())
     def test_returns_a_map_or_raises_value_error(self, n, m, rows, newline):
         text = "\n".join([f"{n} {m}", *rows]) + ("\n" if newline else "")
         try:
-            parsed = parse_map_file(text)
+            parsed = parse_map_file(text.encode())
         except ValueError:
             return
         assert isinstance(parsed, (LinearMap, TruthTableMap))
