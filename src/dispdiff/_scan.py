@@ -33,12 +33,26 @@ def chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(workers)]
 
 
+# The fewest pairs worth a worker thread of their own. One thread scans
+# 36-46M pairs/s, and starting the pool costs a fresh process about 14 ms
+# (importing concurrent.futures, then two threads), but as a child
+# `verify diffusive --threads 2` gained nothing below 5M pairs: 0.282 and
+# 0.271 s on g18 (2.4M pairs, k = 1), 0.418 and 0.428 s on g19 (5.0M),
+# against 0.762 and 0.596 s on g20 (10.5M), at 1 and 2 threads (medians
+# of 7, 2 vCPUs). The second worker's thread and malloc arena also raised
+# the g18 child's peak RSS from 32.9 to 36-38 MB. So two workers need at
+# least 8.4M pairs.
+MIN_PAIRS_PER_WORKER = 1 << 22
+
+
 def _run_chunked(
-    fn: Callable[[int, int], T], total: int, threads: int
+    fn: Callable[[int, int], T], total: int, threads: int, pairs: int
 ) -> list[T]:
+    """fn over contiguous runs of range(total), one run per worker; a
+    scan of fewer than MIN_PAIRS_PER_WORKER pairs a worker runs as one."""
     # more workers than cores buys nothing and a huge --threads would
     # start that many OS threads
-    workers = min(threads, os.cpu_count() or 1)
+    workers = min(threads, os.cpu_count() or 1, pairs // MIN_PAIRS_PER_WORKER)
     ranges = chunk_bounds(total, workers)
     if len(ranges) <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
@@ -82,7 +96,8 @@ def bit_sums(
         return sums
 
     total = np.zeros(m, dtype=np.int64)
-    for part in _run_chunked(scan, len(patterns), threads):
+    pairs = len(values) // 2 * len(patterns)
+    for part in _run_chunked(scan, len(patterns), threads, pairs):
         total += part
     # integer bit b holds word index m - b
     return [int(total[m - i]) for i in range(1, m + 1)]
@@ -109,7 +124,9 @@ def first_distance_violation(
                 firsts.append((i + (i >> t << t), d_idx, int(dists[i])))
         return min(firsts, default=None)
 
-    found = [b for b in _run_chunked(scan, len(patterns), threads) if b is not None]
+    pairs = len(values) // 2 * len(patterns)
+    parts = _run_chunked(scan, len(patterns), threads, pairs)
+    found = [b for b in parts if b is not None]
     if not found:
         return None
     x, d_idx, dist = min(found)

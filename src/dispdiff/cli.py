@@ -9,6 +9,7 @@ files produce byte-identical output, regardless of --threads.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from pathlib import Path
@@ -89,28 +90,40 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_construct(args: argparse.Namespace) -> int:
     if args.m is not None and args.kind != "dispersive":
         raise ValueError("--m only applies to dispersive constructions")
-    if args.kind == "dispersive":
-        built = build_dispersive(args.n, args.m)
-        data = serialize_generator_matrix(built)
-    elif args.kind == "column-diffusive":
-        built = column_diffusive(args.n)
-        data = serialize_generator_matrix(built)
-    else:
+    out = Path(args.out)
+    if args.kind == "diffusive":
         built = g_table(args.n)
-        data = serialize_truth_table(built)
-    Path(args.out).write_bytes(data)
+        with open(out, "wb") as fh:
+            try:
+                serialize_truth_table(built, fh)
+            except BaseException:
+                # a table file that failed part way is not left behind
+                if out.is_file():
+                    out.unlink()
+                raise
+    else:
+        if args.kind == "dispersive":
+            built = build_dispersive(args.n, args.m)
+        else:
+            built = column_diffusive(args.n)
+        out.write_bytes(serialize_generator_matrix(built))
     print(f"m={built.output_dim}")
     return 0
 
 
 def _read_map_file(path: str) -> LinearMap | TruthTableMap:
-    """Parse the map file at path from its bytes. A file that is not pure
-    ASCII, or that holds a \r, is read as text first: it decodes, or fails
-    to, as read_text decodes it, universal newlines included."""
-    data = Path(path).read_bytes()
-    if not data.isascii() or b"\r" in data:
-        data = Path(path).read_text().encode()
-    return parse_map_file(data)
+    """Parse the map file at path, read in blocks. A file that is not pure
+    ASCII, or that holds a \\r, is read as text first, and so is one that
+    cannot seek (a FIFO, say): it decodes, or fails to, as read_text
+    decodes it, universal newlines included."""
+    with open(path, "rb") as fh:
+        if fh.seekable():
+            map_ = parse_map_file(fh, plain_only=True)
+            if map_ is not None:
+                return map_
+            fh.seek(0)
+        text = io.TextIOWrapper(fh).read()
+    return parse_map_file(io.BytesIO(text.encode()))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -66,7 +66,7 @@ def g_table(n: int) -> TruthTableMap:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     values = _g_words(n, np.arange(table_size(n), dtype=np.uint64))
-    return TruthTableMap(n, n, values)
+    return TruthTableMap._adopt(n, n, values)
 
 
 def verify_diffusive(
@@ -142,7 +142,7 @@ def extend_output(map_: TruthTableMap, extra: int) -> TruthTableMap:
     v = map_.values
     ones = np.uint64((1 << extra) - 1)
     new = (v << np.uint64(extra)) | (ones * (v >> np.uint64(m - 1)))
-    return TruthTableMap(map_.input_dim, m + extra, new)
+    return TruthTableMap._adopt(map_.input_dim, m + extra, new)
 
 
 def quadruple_sum_check(n: int) -> bool:

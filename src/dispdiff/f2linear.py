@@ -9,8 +9,9 @@ GF(2) decides injectivity.  The module also owns the two on-disk formats
 from __future__ import annotations
 
 import importlib.util
+import io
 import sys
-from typing import Iterable
+from typing import BinaryIO, Iterable
 
 from .bitword import MAX_WIDTH, BitWord, Record
 
@@ -86,13 +87,24 @@ class TruthTableMap(Record):
     """Explicit input -> output table for an arbitrary map between word
     spaces. ``values[j]`` is the image of the input with integer value j,
     held as a read-only uint64 array, copied from the non-negative
-    integer array the map is built from."""
+    integer array the map is built from. The library's own builders adopt
+    the fresh array they fill instead (``_adopt``)."""
 
     input_dim: int
     output_dim: int
     values: np.ndarray
 
-    def __post_init__(self) -> None:
+    @classmethod
+    def _adopt(cls, n: int, m: int, values: np.ndarray) -> TruthTableMap:
+        """The map over values, a fresh uint64 array that no caller keeps:
+        checked as the constructor checks it, then made read-only in place
+        instead of copied, which saves one table per build."""
+        map_ = cls.__new__(cls)
+        map_.__dict__.update(input_dim=n, output_dim=m, values=values)
+        map_.__post_init__(copy=False)
+        return map_
+
+    def __post_init__(self, copy: bool = True) -> None:
         n, m = self.input_dim, self.output_dim
         if not (1 <= n <= MAX_WIDTH and 1 <= m <= MAX_WIDTH):
             raise ValueError(f"dimensions must be in 1..{MAX_WIDTH}")
@@ -100,7 +112,7 @@ class TruthTableMap(Record):
         ok = isinstance(entries, np.ndarray) and entries.dtype.kind in "ui"
         if not ok or (entries.dtype.kind == "i" and np.any(entries < 0)):
             raise ValueError("table values must be a non-negative integer array")
-        values = np.array(entries, dtype=np.uint64)
+        values = np.array(entries, dtype=np.uint64, copy=copy)
         if values.shape != (1 << n,):
             raise ValueError(f"table must have {1 << n} entries, got {values.size}")
         # the widest entry alone is shifted: no table-sized temporary
@@ -116,8 +128,10 @@ class TruthTableMap(Record):
         return same and self.output_dim == other.output_dim
 
     def is_injective(self) -> bool:
-        # a repeated value shows as a zero step between sorted neighbours
-        return bool(np.all(np.diff(np.sort(self.values))))
+        # a repeated value shows as equal sorted neighbours; comparing them
+        # makes a bool array, where np.diff made a uint64 one
+        s = np.sort(self.values)
+        return bool(np.all(s[1:] != s[:-1]))
 
     def lookup(self, x: BitWord) -> BitWord:
         if x.width != self.input_dim:
@@ -180,7 +194,7 @@ def tabulate(map_: LinearMap) -> TruthTableMap:
     for g in reversed(map_.generators):
         values[half : 2 * half] = values[:half] ^ np.uint64(g)
         half *= 2
-    return TruthTableMap(n, m, values)
+    return TruthTableMap._adopt(n, m, values)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +203,11 @@ def tabulate(map_: LinearMap) -> TruthTableMap:
 # characters; a truth table file with 2^n lines "input output" in
 # ascending input order. Serialization is canonical (single \n
 # separators, trailing newline) so files round-trip byte for byte. The
-# parsers take the file's bytes; only the lines they read as words or
-# quote in a message are decoded.
+# parsers read a seekable binary file object in two passes: the first
+# counts its lines, and the second reads its rows. Only the lines they
+# read as words or quote in a message are decoded. A table's lines move
+# through one reused buffer of _BLOCK_ROWS lines each way, so no buffer
+# the size of the file is ever held.
 
 
 def serialize_generator_matrix(map_: LinearMap) -> bytes:
@@ -199,88 +216,89 @@ def serialize_generator_matrix(map_: LinearMap) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def parse_generator_matrix(data: bytes) -> LinearMap:
-    header_end = _header_end(data)
-    n, m = _parse_header(data[:header_end])
-    count = data.count(b"\n") - 1
-    if count != n:
-        raise ValueError(f"expected {n} rows after header, got {count}")
-    lines = _decode(data[header_end + 1 : -1]).split("\n")
-    rows = [BitWord.parse(row) for row in lines]
+def parse_generator_matrix(fh: BinaryIO) -> LinearMap:
+    lines, ends_newline, _ = _survey(fh)
+    return _parse_generator_matrix(fh, lines, _read_header(fh, ends_newline))
+
+
+def _parse_generator_matrix(fh: BinaryIO, lines: int, header: bytes) -> LinearMap:
+    n, m = _parse_header(header)
+    if lines - 1 != n:
+        raise ValueError(f"expected {n} rows after header, got {lines - 1}")
+    # the count held, so the n <= 64 rows are read whole
+    fh.seek(len(header) + 1)
+    rows = [BitWord.parse(row) for row in _decode(fh.read()[:-1]).split("\n")]
     for row in rows:
         if row.width != m:
             raise ValueError(f"generator width {row.width} != output dim {m}")
     return LinearMap(n, m, tuple(row.value for row in rows))
 
 
-def serialize_truth_table(map_: TruthTableMap) -> bytearray:
-    """The canonical table file, "n m" then one "input output" line per
-    entry. Its bytes are filled in place as one uint8 array: each digit
-    column is set for every line of a block at once, so no Python loop
-    runs per line."""
+def serialize_truth_table(map_: TruthTableMap, fh: BinaryIO) -> None:
+    """Write the canonical table file to the binary file object fh: "n m"
+    then one "input output" line per entry. Each block of lines is filled
+    in one reused uint8 array, a digit column at a time for every line of
+    the block, so no Python loop runs per line."""
     n, m = map_.input_dim, map_.output_dim
-    header = f"{n} {m}\n".encode()
-    width = n + m + 2
-    size = len(header) + table_size(n) * width
-    try:
-        data = bytearray(size)
-    except MemoryError:  # Python's, unlike numpy's, names no size
-        raise MemoryError(
-            f"Unable to allocate {size} bytes for the table file"
-        ) from None
-    data[: len(header)] = header
-    rows = np.frombuffer(data, dtype=np.uint8)[len(header) :].reshape(-1, width)
-    for lo in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[lo : lo + _BLOCK_ROWS]
+    size = len(map_.values)
+    fh.write(f"{n} {m}\n".encode())
+    buf = np.empty((min(size, _BLOCK_ROWS), n + m + 2), dtype=np.uint8)
+    buf[:, n] = ord(" ")
+    buf[:, -1] = ord("\n")
+    for lo in range(0, size, _BLOCK_ROWS):
+        block = buf[: size - lo]
         hi = lo + len(block)
         _write_bits(block[:, :n], np.arange(lo, hi, dtype=np.uint64))
-        block[:, n] = ord(" ")
         _write_bits(block[:, n + 1 : -1], map_.values[lo:hi])
-        block[:, -1] = ord("\n")
-    return data
+        fh.write(block)
 
 
-def parse_truth_table(data: bytes) -> TruthTableMap:
-    """Read a table file in one array pass over its lines.
+def parse_truth_table(fh: BinaryIO) -> TruthTableMap:
+    lines, ends_newline, _ = _survey(fh)
+    return _parse_truth_table(fh, lines, _read_header(fh, ends_newline))
 
-    The header checks come first, then the entry count. The lines are
-    then checked as columns of one uint8 array; the first line that is
-    not canonical, if any, goes to ``_check_table_line``, which formats
-    the same message the per-line reading would raise first.
+
+def _parse_truth_table(fh: BinaryIO, lines: int, header: bytes) -> TruthTableMap:
+    """Read a table file's lines a block at a time.
+
+    The header checks come first, then the entry count, so the table is
+    allocated only for a file with one line per entry. Each block is then
+    checked as columns of one uint8 array; the first line that is not
+    canonical, if any, goes to ``_check_table_line``, which formats the
+    same message the per-line reading would raise first.
     """
-    header_end = _header_end(data)
-    n, m = _parse_header(data[:header_end])
+    n, m = _parse_header(header)
     size = table_size(n)
-    entries = data.count(b"\n") - 1
-    if entries != size:
-        raise ValueError(f"expected {size} entries after header, got {entries}")
-    # read in place; a line holding a byte above 127 is not canonical, so
-    # the lines before the first bad one are ASCII, one byte per character
-    body = np.frombuffer(data, dtype=np.uint8)[header_end + 1 :]
+    if lines - 1 != size:
+        raise ValueError(f"expected {size} entries after header, got {lines - 1}")
+    start = len(header) + 1
     width = n + m + 2
     # lines before the first one of the wrong length sit at multiples of
     # width; that line itself fails the column checks or starts row `fit`
-    fit = min(size, len(body) // width)
-    rows = body[: fit * width].reshape(fit, width)
-    # the extra entry stands for line `fit`: bad unless fit == size
-    flagged = np.zeros(fit + 1, dtype=bool)
-    flagged[fit] = True
+    fit = min(size, (fh.seek(0, io.SEEK_END) - start) // width)
     values = np.empty(fit, dtype=np.uint64)
+    buf = np.empty((min(fit, _BLOCK_ROWS), width), dtype=np.uint8)
+    fh.seek(start)
+    bad_line = fit  # bad unless fit == size
     for lo in range(0, fit, _BLOCK_ROWS):
-        block = rows[lo : lo + _BLOCK_ROWS]
+        block = buf[: fit - lo]
+        if fh.readinto(block) != block.nbytes:
+            raise ValueError("map file changed while it was read")
         hi = lo + len(block)
-        bad = flagged[lo:hi]
+        bad = np.zeros(len(block), dtype=bool)
         inputs = _read_bits(block[:, :n], bad)
         bad |= inputs != np.arange(lo, hi, dtype=np.uint64)
         bad |= block[:, n] != ord(" ")
         values[lo:hi] = _read_bits(block[:, n + 1 : -1], bad)
         bad |= block[:, -1] != ord("\n")
-    j = int(np.argmax(flagged))
-    if j < size:
-        start = header_end + 1 + j * width
-        _check_table_line(j, _decode(data[start : data.index(b"\n", start)]), n, m)
-        raise AssertionError(f"table line {j} flagged but canonical")
-    return TruthTableMap(n, m, values)
+        if bad.any():
+            bad_line = lo + int(np.argmax(bad))
+            break
+    if bad_line < size:
+        fh.seek(start + bad_line * width)
+        _check_table_line(bad_line, _decode(fh.readline()[:-1]), n, m)
+        raise AssertionError(f"table line {bad_line} flagged but canonical")
+    return TruthTableMap._adopt(n, m, values)
 
 
 # lines per block of the array passes: one block's columns stay in cache
@@ -327,27 +345,55 @@ def _check_table_line(j: int, line: str, n: int, m: int) -> None:
         raise ValueError(f"output width {len(out)} != {m}")
 
 
-def parse_map_file(data: bytes) -> LinearMap | TruthTableMap:
-    """Sniff the format from line 2: table lines carry two fields, matrix rows one."""
-    # only line 2 is cut out: splitting the whole file would copy a table
-    header_end = _header_end(data)
-    line2_end = data.find(b"\n", header_end + 1)
-    if line2_end < 0:
+def parse_map_file(
+    fh: BinaryIO, *, plain_only: bool = False
+) -> LinearMap | TruthTableMap | None:
+    """Sniff the format from line 2: table lines carry two fields, matrix
+    rows one. With plain_only, a file that is not pure ASCII, or that
+    holds a \\r, gives None before any check, for a caller that reads
+    such a file as text."""
+    lines, ends_newline, plain = _survey(fh)
+    if plain_only and not plain:
+        return None
+    header = _read_header(fh, ends_newline)
+    line2 = fh.readline()
+    if not line2:
         raise ValueError("map file needs a header and at least one row")
-    if b" " in data[header_end + 1 : line2_end]:
-        return parse_truth_table(data)
-    return parse_generator_matrix(data)
+    if b" " in line2:
+        return _parse_truth_table(fh, lines, header)
+    return _parse_generator_matrix(fh, lines, header)
 
 
-def _header_end(data: bytes) -> int:
-    """Offset of the newline that ends the header line, after the checks
-    that come first in every map file."""
-    if not data.endswith(b"\n"):
+# pass 1 reads a map file in blocks of this many bytes
+_READ_BYTES = 1 << 20
+
+
+def _survey(fh: BinaryIO) -> tuple[int, bool, bool]:
+    """Pass 1 over a map file from its start, one reused block at a time:
+    its newline count, whether it ends with a newline, and whether it is
+    plain (pure ASCII, with no \\r)."""
+    fh.seek(0)
+    lines, last, plain = 0, b"", True
+    block = bytearray(_READ_BYTES)
+    while got := fh.readinto(block):
+        if got < len(block):
+            del block[got:]
+        lines += block.count(b"\n")
+        plain = plain and block.isascii() and b"\r" not in block
+        last = block[-1:]
+    return lines, last == b"\n", plain
+
+
+def _read_header(fh: BinaryIO, ends_newline: bool) -> bytes:
+    """The header line without its newline, after the checks that come
+    first in every map file; fh is left at the start of line 2."""
+    if not ends_newline:
         raise ValueError("map file must end with a newline")
-    end = data.index(b"\n")
-    if end == 0:
+    fh.seek(0)
+    header = fh.readline()[:-1]
+    if not header:
         raise ValueError("empty map file")
-    return end
+    return header
 
 
 def _decode(line: bytes) -> str:

@@ -186,7 +186,11 @@ def test_criterion_10_explorer_reproduces_table():
     report("criterion 10 (search reproduces the dimension table)", check)
 
 
-def test_criterion_11_determinism_under_parallelism():
+def test_criterion_11_determinism_under_parallelism(monkeypatch):
+    # every map here is below the pairs that pay for a worker: split the
+    # scans anyway, so that the worker counts differ
+    monkeypatch.setattr(dd._scan, "MIN_PAIRS_PER_WORKER", 1)
+
     def check():
         texts = []
         for threads in (1, 4, 8):

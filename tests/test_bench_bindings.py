@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 from dispdiff.dispersive import build_dispersive
-from dispdiff.f2linear import serialize_generator_matrix, serialize_truth_table, tabulate
+from dispdiff.f2linear import serialize_generator_matrix, tabulate
+from tablebytes import table_bytes
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,7 +35,7 @@ def test_every_wrapped_layer_is_called(tmp_path, capsys):
     # a call that bypasses a wrapped binding drops its layer from the trace
     tracing = _load_tracing()
     g5, f5_table, f5_matrix = (tmp_path / n for n in ("g5.tt", "f5.tt", "f5.gm"))
-    f5_table.write_bytes(serialize_truth_table(tabulate(build_dispersive(5))))
+    f5_table.write_bytes(table_bytes(tabulate(build_dispersive(5))))
     f5_matrix.write_bytes(serialize_generator_matrix(build_dispersive(5)))
     tracer = tracing.Tracer()
     with tracer.installed():
@@ -56,7 +57,7 @@ def test_each_command_calls_its_own_layers(tmp_path, capsys):
     # shows even while another command keeps the layer in the trace
     tracing = _load_tracing()
     g5, f5_table, f5_matrix = (tmp_path / n for n in ("g5.tt", "f5.tt", "f5.gm"))
-    f5_table.write_bytes(serialize_truth_table(tabulate(build_dispersive(5))))
+    f5_table.write_bytes(table_bytes(tabulate(build_dispersive(5))))
     f5_matrix.write_bytes(serialize_generator_matrix(build_dispersive(5)))
     verify = {"cli", "f2linear.parse_map_file", "explorer.verify_k"}
     expected = [

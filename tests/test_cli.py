@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -6,10 +7,11 @@ from pathlib import Path
 import pytest
 
 import dispdiff
-from dispdiff import g_table, serialize_truth_table
+from dispdiff import g_table
 from dispdiff.cli import main
 
 from peakmem import peak_below
+from tablebytes import table_bytes
 
 
 def run(capsys, *argv):
@@ -58,7 +60,7 @@ class TestConstruct:
         )
         assert code == 0
         assert stdout == "m=3\n"
-        assert out.read_bytes() == serialize_truth_table(g_table(3))
+        assert out.read_bytes() == table_bytes(g_table(3))
         assert len(out.read_text().splitlines()) == 9
 
     def test_column_diffusive(self, tmp_path, capsys):
@@ -335,9 +337,9 @@ class TestContract:
     def test_memory_error_is_one_error_line(
         self, tmp_path, capsys, monkeypatch, exc, message
     ):
-        # stands in for an allocation numpy refuses, as serializing
-        # g_table(28) would be; no large table is built here
-        def refuse(_):
+        # stands in for an allocation numpy refuses while the table file
+        # is written, which must leave no file; no large table is built here
+        def refuse(*_):
             raise exc
 
         monkeypatch.setattr("dispdiff.cli.serialize_truth_table", refuse)
@@ -359,11 +361,11 @@ class TestContract:
         main(["construct", "dispersive", "--n", "7", "--out", str(path)])
         capsys.readouterr()
         data = path.read_bytes()
-        assert serialize_generator_matrix(parse_map_file(data)) == data
+        assert serialize_generator_matrix(parse_map_file(io.BytesIO(data))) == data
 
     def test_closed_stdout_exits_one_quietly(self, tmp_path):
         path = tmp_path / "g6.tt"
-        path.write_bytes(serialize_truth_table(g_table(6)))
+        path.write_bytes(table_bytes(g_table(6)))
         src = str(Path(dispdiff.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         read_end, write_end = os.pipe()
@@ -462,4 +464,4 @@ class TestConstructVerifyRoundTrip:
         from dispdiff import parse_map_file, serialize_generator_matrix
 
         data = path.read_bytes()
-        assert serialize_generator_matrix(parse_map_file(data)) == data
+        assert serialize_generator_matrix(parse_map_file(io.BytesIO(data))) == data

@@ -12,16 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispdiff import (
-    build_dispersive,
-    g_table,
-    serialize_generator_matrix,
-    serialize_truth_table,
-)
+from dispdiff import build_dispersive, g_table, serialize_generator_matrix
 from dispdiff.cli import main
+from tablebytes import table_bytes
 
 CORPUS = {
-    "g6.tt": serialize_truth_table(g_table(6)),
+    "g6.tt": table_bytes(g_table(6)),
     "f10.gm": serialize_generator_matrix(build_dispersive(10)),
     "id3.gm": b"3 3\n100\n010\n001\n",
     "zero2.tt": b"2 2\n00 00\n01 00\n10 00\n11 00\n",

@@ -16,7 +16,6 @@ from dispdiff import (
     format_diffusion_report,
     g_table,
     quadruple_sum_check,
-    serialize_truth_table,
     tabulate,
     verify_diffusive,
     verify_dispersive,
@@ -25,6 +24,7 @@ from dispdiff.diffusive import _g_words
 
 import naive
 from peakmem import peak_below
+from tablebytes import table_bytes
 
 G3_GOLDEN = ["000", "001", "110", "111", "010", "100", "011", "101"]
 # sha256 of the n=18 table file, as pinned by perfbench/workloads.py
@@ -100,7 +100,7 @@ class TestGTable:
         assert g_table(n).values.tolist() == expected
 
     def test_n18_file_hash(self):
-        data = serialize_truth_table(g_table(18))
+        data = table_bytes(g_table(18))
         assert hashlib.sha256(data).hexdigest() == G18_SHA256
 
     def test_n20_peak_memory(self):
@@ -188,6 +188,8 @@ class TestVerifyDiffusive:
         # _scan imports the pool only when it starts more than one worker
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(_scan.os, "cpu_count", lambda: 2)
+        # g_table(4) is far below the pairs that pay for a worker
+        monkeypatch.setattr(_scan, "MIN_PAIRS_PER_WORKER", 1)
         clamped = (
             verify_diffusive(table, threads=100_000),
             verify_dispersive(table, 2, threads=100_000),

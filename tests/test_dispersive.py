@@ -1,3 +1,4 @@
+import io
 import random
 from itertools import product
 from pathlib import Path
@@ -297,7 +298,7 @@ class TestNonlinearWitness:
     """A nonlinear 2-dispersive map 7 -> 8, narrower than any linear one."""
 
     W7_8 = parse_map_file(
-        (Path(__file__).parent / "data" / "w7_8.tt").read_bytes()
+        io.BytesIO((Path(__file__).parent / "data" / "w7_8.tt").read_bytes())
     )
 
     @pytest.mark.parametrize("n", [5, 6, 7])

@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 
 import dispdiff
-from dispdiff import g_table, serialize_truth_table
+from dispdiff import g_table
 from dispdiff.cli import main
+from tablebytes import table_bytes
 
 SRC = str(Path(dispdiff.__file__).resolve().parent.parent)
 
@@ -109,7 +110,7 @@ def test_table_commands_load_numpy_on_first_use(
 ):
     # first=1 writes g6.tt beforehand, so the first load comes in the
     # threaded verify, which must make it before any worker starts
-    data = serialize_truth_table(g_table(6))
+    data = table_bytes(g_table(6))
     setup = (lambda d: (d / "g6.tt").write_bytes(data)) if first else lambda d: None
     report = compare(TABLE_COMMANDS[first:], tmp_path, monkeypatch, capsys, setup)
     assert report["runs"][0][0] == 0

@@ -19,7 +19,6 @@ from dispdiff import (
     g_table,
     pair_count,
     serialize_generator_matrix,
-    serialize_truth_table,
     tabulate,
     verify_diffusive,
     verify_dispersive,
@@ -30,6 +29,7 @@ from dispdiff.explorer import _rao_bound
 
 import naive
 from peakmem import peak_below
+from tablebytes import table_bytes
 
 
 @st.composite
@@ -105,7 +105,7 @@ def test_matrix_is_decided_at_budget_4(tmp_path, capsys):
     f6 = build_dispersive(6)
     matrix, table = tmp_path / "f6.gm", tmp_path / "f6.tt"
     matrix.write_bytes(serialize_generator_matrix(f6))
-    table.write_bytes(serialize_truth_table(tabulate(f6)))
+    table.write_bytes(table_bytes(tabulate(f6)))
     passed = (0, "PASS\n", "")
     assert _verify_lines(capsys, "dispersive", matrix, "--budget", "4") == passed
     refused = (1, "", "error: enumeration of 192 pairs exceeds budget 4\n")

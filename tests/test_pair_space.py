@@ -3,6 +3,8 @@ first for a truth table and a generator matrix alike, then a table scan
 is refused above the pair budget; a matrix is decided at any budget,
 with the same pair count and pattern order."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ ONE_BIT = (
     "sum n * 2^(n-2) is not an integer"
 )
 
-WIDE = parse_map_file(b"40 2\n" + b"10\n" * 40)
+WIDE = parse_map_file(io.BytesIO(b"40 2\n" + b"10\n" * 40))
 F6 = build_dispersive(6)
 ONE_INPUT = [
     TruthTableMap(1, 1, np.array([0, 1], dtype=np.uint64)),

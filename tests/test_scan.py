@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispdiff import TruthTableMap, verify_diffusive, verify_dispersive
+from dispdiff import TruthTableMap, g_table, verify_diffusive, verify_dispersive
 from dispdiff import _scan
 from dispdiff.bitword import diff_patterns
 
@@ -49,8 +49,10 @@ def test_reports_match_oracle_at_any_worker_count(case):
         for j, v in enumerate(table.values.tolist())
     }
     pairs = naive.all_pairs(n, k)
-    # four cores on any machine, so up to four workers really run
-    with mock.patch.object(_scan.os, "cpu_count", return_value=4):
+    # four cores on any machine and no floor on a worker's pairs, so up
+    # to four workers really run
+    with mock.patch.object(_scan.os, "cpu_count", return_value=4), \
+            mock.patch.object(_scan, "MIN_PAIRS_PER_WORKER", 1):
         disp = verify_dispersive(table, k, threads=threads)
         diff = verify_diffusive(table, k, threads=threads) if n >= 2 else None
 
@@ -72,3 +74,35 @@ def test_reports_match_oracle_at_any_worker_count(case):
     if diff is not None:
         assert list(diff.per_bit_sums) == naive.diffusion_sums(as_dict, n, k)
         assert diff.target == len(pairs) // 2
+
+
+def _workers(n: int, k: int) -> list[int]:
+    """Workers per scan of g_table(n)'s pairs at distance 1..k, asked for
+    with four threads on four cores."""
+    seen = []
+    bounds = _scan.chunk_bounds
+
+    def counted(total, workers):
+        seen.append(len(bounds(total, workers)))
+        return bounds(total, workers)
+
+    table = g_table(n)
+    with mock.patch.object(_scan.os, "cpu_count", return_value=4), \
+            mock.patch.object(_scan, "chunk_bounds", counted):
+        verify_diffusive(table, k, threads=4)
+        verify_dispersive(table, k, threads=4)
+    return seen
+
+
+def test_scan_below_the_floor_runs_as_one_chunk():
+    # 12 patterns of 2^11 pairs each
+    assert _workers(12, 1) == [1, 1]
+
+
+def test_workers_each_get_the_floor_of_pairs():
+    # 136 patterns of 2^15 pairs: 4456448, between one and two floors
+    pairs = 136 << 15
+    assert pairs // _scan.MIN_PAIRS_PER_WORKER == 1
+    assert _workers(16, 2) == [1, 1]
+    with mock.patch.object(_scan, "MIN_PAIRS_PER_WORKER", pairs // 3):
+        assert _workers(16, 2) == [3, 3]

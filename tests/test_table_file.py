@@ -1,11 +1,16 @@
-"""The table file's array passes against the per-line reader and writer
+"""The table file's block passes against the per-line reader and writer
 in ``naive``: byte-identical files, equal tables, and the same message for
 every malformed file, with the per-line checker run on one line at most.
-The array passes take and give bytes; ``naive`` reads and writes text, and
-a file's bytes are its text encoded as UTF-8."""
+The block passes write and read binary file objects, here ``io.BytesIO``
+over the file's bytes; ``naive`` reads and writes text, and a file's
+bytes are its text encoded as UTF-8."""
 
+import io
+import os
 import random
+import threading
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from dispdiff import (
 from dispdiff import f2linear
 from dispdiff.cli import main
 from peakmem import MB, peak_below
+from tablebytes import table_bytes
 
 
 def _random_table(rng: random.Random, n: int, m: int) -> TruthTableMap:
@@ -39,6 +45,10 @@ def _tables():
         yield _random_table(rng, rng.randint(1, 12), rng.randint(1, 64))
 
 
+def _parse(text: str) -> TruthTableMap:
+    return parse_truth_table(io.BytesIO(text.encode()))
+
+
 def _outcome(parse, file):
     """What parse makes of a file: the table as (n, m, outputs) or the message."""
     try:
@@ -48,6 +58,14 @@ def _outcome(parse, file):
     if isinstance(parsed, TruthTableMap):
         return parsed.input_dim, parsed.output_dim, parsed.values.tolist()
     return parsed
+
+
+@contextmanager
+def small_blocks(rows: int):
+    """rows lines a block, so that the small tables here span several
+    blocks and end in a short one."""
+    with mock.patch.object(f2linear, "_BLOCK_ROWS", rows):
+        yield
 
 
 @contextmanager
@@ -73,12 +91,15 @@ def checked_lines():
 )
 def test_matches_per_line_reader_and_writer(table):
     n, m, values = table.input_dim, table.output_dim, table.values.tolist()
-    data = serialize_truth_table(table)
+    data = table_bytes(table)
     assert data == naive.serialize_table(n, m, values).encode()
     with checked_lines() as seen:
-        assert parse_truth_table(data) == table
+        assert parse_truth_table(io.BytesIO(data)) == table
     assert naive.parse_table(data.decode()) == (n, m, values)
     assert seen == []
+    with small_blocks(97):
+        assert table_bytes(table) == data
+        assert parse_truth_table(io.BytesIO(data)) == table
 
 
 SUBSTITUTES = ["0", "1", "2", " ", "\n", "\t", "\r", "١"]
@@ -91,7 +112,7 @@ def malformed_tables(draw) -> str:
     lines swapped, a line repeated, or the final newline dropped."""
     n = draw(st.integers(1, 6))
     table = g_table(n) if n > 1 else TruthTableMap(1, 2, np.array([1, 2], dtype=np.uint64))
-    text = serialize_truth_table(table).decode()
+    text = table_bytes(table).decode()
     # faults uniform over the text: Hypothesis's own draws favour 0
     rng = random.Random(draw(st.integers(0, 2**32)))
     for _ in range(draw(st.integers(1, 3))):
@@ -120,11 +141,12 @@ def malformed_tables(draw) -> str:
 @settings(max_examples=600, deadline=None)
 @given(malformed_tables())
 def test_malformed_files_fail_as_the_per_line_reader_does(text):
+    expected = _outcome(naive.parse_table, text)
     with checked_lines() as seen:
-        assert _outcome(parse_truth_table, text.encode()) == _outcome(
-            naive.parse_table, text
-        )
+        assert _outcome(_parse, text) == expected
     assert len(seen) <= 1
+    with small_blocks(3):
+        assert _outcome(_parse, text) == expected
 
 
 @pytest.mark.parametrize(
@@ -140,7 +162,7 @@ def test_malformed_files_fail_as_the_per_line_reader_does(text):
 )
 def test_first_fault_message(text, message):
     with checked_lines() as seen, pytest.raises(ValueError) as exc:
-        parse_truth_table(text.encode())
+        _parse(text)
     assert str(exc.value) == message == _outcome(naive.parse_table, text)
     assert len(seen) <= 1
 
@@ -148,49 +170,79 @@ def test_first_fault_message(text, message):
 def test_undecodable_byte_is_quoted_as_a_replacement_character():
     # the parsers take any bytes; only the line a message quotes is decoded
     with pytest.raises(ValueError, match="^not a binary word: '0\ufffd1'$"):
-        parse_truth_table(b"1 2\n0 0\xff1\n1 10\n")
+        parse_truth_table(io.BytesIO(b"1 2\n0 0\xff1\n1 10\n"))
 
 
-def test_refused_file_allocation_names_its_size(monkeypatch):
-    # a file of 2^50 lines is more than any address space holds
-    monkeypatch.setattr(f2linear, "table_size", lambda n: 1 << 50)
-    size = len(b"2 2\n") + 6 * (1 << 50)
-    message = f"^Unable to allocate {size} bytes for the table file$"
-    with pytest.raises(MemoryError, match=message):
-        serialize_truth_table(g_table(2))
+def test_hostile_header_costs_no_table():
+    # 2^28 entries of 64 bits would be 2 GiB; two lines are counted first
+    data = b"28 64\n" + b"0" * 28 + b" " + b"0" * 64 + b"\n"
+    with peak_below(f2linear._READ_BYTES + MB), pytest.raises(ValueError) as exc:
+        parse_map_file(io.BytesIO(data + data[6:]))
+    assert str(exc.value) == "expected 268435456 entries after header, got 2"
+
+
+def test_fifo_table_verifies_as_its_file(tmp_path, capsys):
+    # a FIFO cannot seek, so the CLI reads it whole as text first
+    data = table_bytes(g_table(8))
+    path, fifo = tmp_path / "g8.tt", tmp_path / "g8.fifo"
+    path.write_bytes(data)
+    assert main(["verify", "diffusive", str(path)]) == 0
+    expected = capsys.readouterr()
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        assert main(["verify", "diffusive", str(fifo)]) == 0
+    finally:
+        if writer.is_alive():  # main never opened it: let the writer's open return
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert capsys.readouterr() == expected
 
 
 class TestPeakMemory:
-    """At n = 20 the file is 42 MiB and the table 8 MiB. The file's bytes
-    are held once: serializing fills them in place, parsing reads them in
-    place, and the CLI writes and reads them with no text copy."""
+    """No buffer the size of the file is held: writing and parsing move
+    its lines through one block, and the CLI holds the table it builds or
+    reads, not the file. An n = 16 file is 2.1 MiB and its table 0.5 MiB;
+    an n = 20 file is 42 MiB and its table 8 MiB."""
 
-    N = 20
-    FILE_BYTES = len(b"20 20\n") + ((2 * N + 2) << N)
+    N = 16
+    TABLE_BYTES = 8 << N
+    FILE_BYTES = len(b"16 16\n") + ((2 * N + 2) << N)
+    # the most bytes pass 1 reads at once; a block of n = 16 lines is
+    # 16384 * 34 bytes, and their column arrays fit beside it
+    BLOCK = f2linear._READ_BYTES
 
-    def test_serialize(self):
+    def test_serialize(self, tmp_path):
         table = g_table(self.N)
-        with peak_below(self.FILE_BYTES + 2 * MB):
-            data = serialize_truth_table(table)
-        assert len(data) == self.FILE_BYTES
+        path = tmp_path / "g16.tt"
+        with open(path, "wb") as fh, peak_below(self.TABLE_BYTES + self.BLOCK):
+            serialize_truth_table(table, fh)
+        assert path.stat().st_size == self.FILE_BYTES
 
-    def test_parse(self):
+    def test_parse(self, tmp_path):
         table = g_table(self.N)
-        data = serialize_truth_table(table)
-        with peak_below(self.FILE_BYTES // 2):
-            parsed = parse_map_file(data)
+        path = tmp_path / "g16.tt"
+        path.write_bytes(table_bytes(table))
+        with open(path, "rb") as fh, peak_below(self.TABLE_BYTES + self.BLOCK):
+            parsed = parse_map_file(fh)
         assert parsed == table
+
+    # g_table(20) and the verifier each need a few 8 MiB arrays at once;
+    # the 42 MiB file adds nothing to that
+    TABLE_20 = 8 << 20
 
     def test_construct_command(self, tmp_path, capsys):
         path = tmp_path / "g20.tt"
-        argv = ["construct", "diffusive", "--n", str(self.N), "--out", str(path)]
-        with peak_below(3 * self.FILE_BYTES // 2):
+        argv = ["construct", "diffusive", "--n", "20", "--out", str(path)]
+        with peak_below(3 * self.TABLE_20 + 2 * MB):
             assert main(argv) == 0
-        assert path.read_bytes() == serialize_truth_table(g_table(self.N))
+        assert path.read_bytes() == table_bytes(g_table(20))
 
     def test_verify_command(self, tmp_path, capsys):
         path = tmp_path / "g20.tt"
-        path.write_bytes(serialize_truth_table(g_table(self.N)))
-        with peak_below(3 * self.FILE_BYTES // 2):
+        path.write_bytes(table_bytes(g_table(20)))
+        with peak_below(3 * self.TABLE_20 + 2 * MB):
             assert main(["verify", "diffusive", str(path)]) == 0
         assert capsys.readouterr().out.endswith("PASS\n")

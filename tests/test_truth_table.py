@@ -1,6 +1,7 @@
 """The array-backed truth table: construction edges, and differential
 checks of every array expression against its per-entry formula."""
 
+import io
 import random
 
 import numpy as np
@@ -13,15 +14,19 @@ from dispdiff import (
     BitWord,
     LinearMap,
     TruthTableMap,
+    build_dispersive,
     extend_output,
     g_table,
     parse_map_file,
     parse_truth_table,
     quadruple_sum_check,
-    serialize_truth_table,
     tabulate,
 )
 from dispdiff import diffusive
+from peakmem import MB, peak_below
+from tablebytes import table_bytes
+
+TABLE_20 = 8 << 20  # bytes of a 2^20-entry uint64 table
 
 
 def _dims_and_values(max_n: int):
@@ -65,6 +70,20 @@ class TestConstruction:
         source[0] = 3
         assert table.values.tolist() == [0, 1, 2, 3]
         assert source.flags.writeable
+
+    def test_builders_adopt_their_array(self):
+        # tabulate fills one 8 MiB table and a half-table temporary; a
+        # copy into the map would be a second table
+        mp = build_dispersive(20)
+        with peak_below(3 * TABLE_20 // 2 + MB):
+            table = tabulate(mp)
+        assert table.values.base is None and not table.values.flags.writeable
+
+    def test_injectivity_needs_one_sorted_copy(self):
+        # the sorted copy and a bool per neighbour pair, not a uint64 step
+        table = g_table(20)
+        with peak_below(TABLE_20 + TABLE_20 // 8 + MB):
+            assert table.is_injective()
 
     @pytest.mark.parametrize(
         "m, values",
@@ -123,8 +142,8 @@ class TestArrayPaths:
 
     @given(tables_st)
     def test_serialize_parse_roundtrip(self, table):
-        text = serialize_truth_table(table)
-        assert parse_truth_table(text) == table
+        text = table_bytes(table)
+        assert parse_truth_table(io.BytesIO(text)) == table
         assert text.decode().splitlines()[1:] == [
             f"{format(j, f'0{table.input_dim}b')} {format(v, f'0{table.output_dim}b')}"
             for j, v in enumerate(table.values.tolist())
@@ -197,7 +216,7 @@ class TestParseMapFile:
     @pytest.mark.parametrize("word", ["0_1", "\t01", "01\t", "\u0661\u0660\u0661"])
     def test_words_int_would_accept_are_rejected(self, word):
         with pytest.raises(ValueError, match="not a binary word"):
-            parse_map_file(f"1 3\n0 {word}\n1 101\n".encode())
+            parse_map_file(io.BytesIO(f"1 3\n0 {word}\n1 101\n".encode()))
 
     @pytest.mark.parametrize("field", ["+2", "02", "0_2", "\u0662"])
     @pytest.mark.parametrize(
@@ -206,15 +225,16 @@ class TestParseMapFile:
         ids=["n", "m"],
     )
     def test_header_fields_int_would_accept_are_rejected(self, field, header, rows):
-        parse_map_file(f"{header.format(2)}\n{rows}".encode())  # valid when canonical
+        data = f"{header.format(2)}\n{rows}".encode()
+        parse_map_file(io.BytesIO(data))  # valid when canonical
         with pytest.raises(ValueError, match="bad header line"):
-            parse_map_file(f"{header.format(field)}\n{rows}".encode())
+            parse_map_file(io.BytesIO(f"{header.format(field)}\n{rows}".encode()))
 
     @given(header_ints, header_ints, rows_st, st.booleans())
     def test_returns_a_map_or_raises_value_error(self, n, m, rows, newline):
         text = "\n".join([f"{n} {m}", *rows]) + ("\n" if newline else "")
         try:
-            parsed = parse_map_file(text.encode())
+            parsed = parse_map_file(io.BytesIO(text.encode()))
         except ValueError:
             return
         assert isinstance(parsed, (LinearMap, TruthTableMap))
