@@ -349,9 +349,9 @@ def parse_map_file(
     fh: BinaryIO, *, plain_only: bool = False
 ) -> LinearMap | TruthTableMap | None:
     """Sniff the format from line 2: table lines carry two fields, matrix
-    rows one. With plain_only, a file that is not pure ASCII, or that
-    holds a \\r, gives None before any check, for a caller that reads
-    such a file as text."""
+    rows one. Only with plain_only can it return None: then a file that
+    is not pure ASCII, or that holds a \\r, gives None before any check,
+    for a caller that reads such a file as text."""
     lines, ends_newline, plain = _survey(fh)
     if plain_only and not plain:
         return None

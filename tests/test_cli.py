@@ -157,7 +157,9 @@ class TestVerify:
         )
         assert code == 0 and stdout == "PASS\n"
 
-    def test_threads_do_not_change_output(self, g3_file, capsys):
+    def test_threads_do_not_change_output(self, g3_file, capsys, monkeypatch):
+        # below the floor g3's 12 pairs would run on one worker at any --threads
+        monkeypatch.setattr(dispdiff._scan, "MIN_PAIRS_PER_WORKER", 1)
         outputs = set()
         for threads in ("1", "4", "8"):
             code, stdout, _ = run(

@@ -33,8 +33,14 @@ for argv in json.loads(sys.argv[1]):
     runs.append([code, out.getvalue(), err.getvalue()])
 """
 CHILD = RUN + """
-print(json.dumps({"runs": runs, "numpy_loaded": "numpy._core" in sys.modules}))
+print(json.dumps({
+    "runs": runs,
+    "numpy_loaded": "numpy._core" in sys.modules,
+    "pool_started": "concurrent.futures" in sys.modules,
+}))
 """
+# lets a scan of a few pairs split over several workers
+ONE_PAIR_FLOOR = "import dispdiff._scan\ndispdiff._scan.MIN_PAIRS_PER_WORKER = 1\n"
 
 
 def run_child(code, *args, cwd):
@@ -59,14 +65,17 @@ def files(directory):
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
-def compare(commands, tmp_path, monkeypatch, capsys, setup=lambda d: None):
+def compare(
+    commands, tmp_path, monkeypatch, capsys, setup=lambda d: None, prelude=""
+):
     """Run commands in a child and in process, each in its own directory;
-    return the child's report after checking that both agree."""
+    return the child's report after checking that both agree. The child
+    runs prelude first."""
     child_dir, here_dir = tmp_path / "child", tmp_path / "here"
     for d in (child_dir, here_dir):
         d.mkdir()
         setup(d)
-    done = run_child(CHILD, json.dumps(commands), cwd=child_dir)
+    done = run_child(prelude + CHILD, json.dumps(commands), cwd=child_dir)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["runs"] == run_in_process(commands, here_dir, monkeypatch, capsys)
@@ -109,12 +118,18 @@ def test_table_commands_load_numpy_on_first_use(
     first, tmp_path, monkeypatch, capsys
 ):
     # first=1 writes g6.tt beforehand, so the first load comes in the
-    # threaded verify, which must make it before any worker starts
+    # threaded verify, which must make it before any worker starts; the
+    # floor of one pair per worker splits g6's 192 pairs over the workers
+    monkeypatch.setattr(dispdiff._scan, "MIN_PAIRS_PER_WORKER", 1)
     data = table_bytes(g_table(6))
     setup = (lambda d: (d / "g6.tt").write_bytes(data)) if first else lambda d: None
-    report = compare(TABLE_COMMANDS[first:], tmp_path, monkeypatch, capsys, setup)
+    report = compare(
+        TABLE_COMMANDS[first:], tmp_path, monkeypatch, capsys, setup,
+        prelude=ONE_PAIR_FLOOR,
+    )
     assert report["runs"][0][0] == 0
     assert report["numpy_loaded"]
+    assert report["pool_started"] == ((os.cpu_count() or 1) > 1)
     assert (tmp_path / "child" / "g6.tt").read_bytes() == data
 
 
