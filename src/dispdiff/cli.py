@@ -3,13 +3,14 @@
 All results go to stdout, diagnostics to stderr. Exit status is 0 for
 pass/found, 1 for errors or failed verification, 2 for a search that
 exhausted its space without a witness. Identical arguments and input
-files produce byte-identical output, regardless of --threads.
+files produce byte-identical output, regardless of --threads and of the
+locale: a map file is read by the library's parse_map_file, as bytes
+when it is plain and as UTF-8 text with universal newlines otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from pathlib import Path
@@ -112,18 +113,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _read_map_file(path: str) -> LinearMap | TruthTableMap:
-    """Parse the map file at path, read in blocks. A file that is not pure
-    ASCII, or that holds a \\r, is read as text first, and so is one that
-    cannot seek (a FIFO, say): it decodes, or fails to, as read_text
-    decodes it, universal newlines included."""
     with open(path, "rb") as fh:
-        if fh.seekable():
-            map_ = parse_map_file(fh, plain_only=True)
-            if map_ is not None:
-                return map_
-            fh.seek(0)
-        text = io.TextIOWrapper(fh).read()
-    return parse_map_file(io.BytesIO(text.encode()))
+        return parse_map_file(fh)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

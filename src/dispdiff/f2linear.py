@@ -202,12 +202,14 @@ def tabulate(map_: LinearMap) -> TruthTableMap:
 # "n m" header line. A generator matrix file follows with n rows of m
 # characters; a truth table file with 2^n lines "input output" in
 # ascending input order. Serialization is canonical (single \n
-# separators, trailing newline) so files round-trip byte for byte. The
-# parsers read a seekable binary file object in two passes: the first
-# counts its lines, and the second reads its rows. Only the lines they
-# read as words or quote in a message are decoded. A table's lines move
+# separators, trailing newline) so files round-trip byte for byte. Every
+# parser reads a binary file object through _open. A plain file (one
+# that can seek, is pure ASCII and holds no \r) is read as bytes in two
+# passes: the first counts its lines, and the second reads its rows. Any
+# other file is first decoded whole as UTF-8 text with universal
+# newlines, and its text is read the same way. A table's lines move
 # through one reused buffer of _BLOCK_ROWS lines each way, so no buffer
-# the size of the file is ever held.
+# the size of a plain file is ever held.
 
 
 def serialize_generator_matrix(map_: LinearMap) -> bytes:
@@ -217,8 +219,7 @@ def serialize_generator_matrix(map_: LinearMap) -> bytes:
 
 
 def parse_generator_matrix(fh: BinaryIO) -> LinearMap:
-    lines, ends_newline, _ = _survey(fh)
-    return _parse_generator_matrix(fh, lines, _read_header(fh, ends_newline))
+    return _parse_generator_matrix(*_open(fh))
 
 
 def _parse_generator_matrix(fh: BinaryIO, lines: int, header: bytes) -> LinearMap:
@@ -227,7 +228,7 @@ def _parse_generator_matrix(fh: BinaryIO, lines: int, header: bytes) -> LinearMa
         raise ValueError(f"expected {n} rows after header, got {lines - 1}")
     # the count held, so the n <= 64 rows are read whole
     fh.seek(len(header) + 1)
-    rows = [BitWord.parse(row) for row in _decode(fh.read()[:-1]).split("\n")]
+    rows = [BitWord.parse(row) for row in fh.read()[:-1].decode().split("\n")]
     for row in rows:
         if row.width != m:
             raise ValueError(f"generator width {row.width} != output dim {m}")
@@ -254,8 +255,7 @@ def serialize_truth_table(map_: TruthTableMap, fh: BinaryIO) -> None:
 
 
 def parse_truth_table(fh: BinaryIO) -> TruthTableMap:
-    lines, ends_newline, _ = _survey(fh)
-    return _parse_truth_table(fh, lines, _read_header(fh, ends_newline))
+    return _parse_truth_table(*_open(fh))
 
 
 def _parse_truth_table(fh: BinaryIO, lines: int, header: bytes) -> TruthTableMap:
@@ -296,7 +296,7 @@ def _parse_truth_table(fh: BinaryIO, lines: int, header: bytes) -> TruthTableMap
             break
     if bad_line < size:
         fh.seek(start + bad_line * width)
-        _check_table_line(bad_line, _decode(fh.readline()[:-1]), n, m)
+        _check_table_line(bad_line, fh.readline()[:-1].decode(), n, m)
         raise AssertionError(f"table line {bad_line} flagged but canonical")
     return TruthTableMap._adopt(n, m, values)
 
@@ -345,17 +345,10 @@ def _check_table_line(j: int, line: str, n: int, m: int) -> None:
         raise ValueError(f"output width {len(out)} != {m}")
 
 
-def parse_map_file(
-    fh: BinaryIO, *, plain_only: bool = False
-) -> LinearMap | TruthTableMap | None:
+def parse_map_file(fh: BinaryIO) -> LinearMap | TruthTableMap:
     """Sniff the format from line 2: table lines carry two fields, matrix
-    rows one. Only with plain_only can it return None: then a file that
-    is not pure ASCII, or that holds a \\r, gives None before any check,
-    for a caller that reads such a file as text."""
-    lines, ends_newline, plain = _survey(fh)
-    if plain_only and not plain:
-        return None
-    header = _read_header(fh, ends_newline)
+    rows one."""
+    fh, lines, header = _open(fh)
     line2 = fh.readline()
     if not line2:
         raise ValueError("map file needs a header and at least one row")
@@ -371,7 +364,7 @@ _READ_BYTES = 1 << 20
 def _survey(fh: BinaryIO) -> tuple[int, bool, bool]:
     """Pass 1 over a map file from its start, one reused block at a time:
     its newline count, whether it ends with a newline, and whether it is
-    plain (pure ASCII, with no \\r)."""
+    plain (pure ASCII, with no \\r). fh is left at its start."""
     fh.seek(0)
     lines, last, plain = 0, b"", True
     block = bytearray(_READ_BYTES)
@@ -381,28 +374,37 @@ def _survey(fh: BinaryIO) -> tuple[int, bool, bool]:
         lines += block.count(b"\n")
         plain = plain and block.isascii() and b"\r" not in block
         last = block[-1:]
+    fh.seek(0)
     return lines, last == b"\n", plain
 
 
-def _read_header(fh: BinaryIO, ends_newline: bool) -> bytes:
-    """The header line without its newline, after the checks that come
-    first in every map file; fh is left at the start of line 2."""
+def _open(fh: BinaryIO) -> tuple[BinaryIO, int, bytes]:
+    """The file to parse, its newline count and its header line without
+    its newline, after the checks that come first in every map file; the
+    file is left at the start of line 2. A plain file (seekable, pure
+    ASCII, no \\r) is fh itself. Any other is decoded whole as UTF-8 text
+    with universal newlines, or fails with the codec's message, and its
+    text is parsed instead; fh is left open."""
+    plain = False
+    if fh.seekable():
+        lines, ends_newline, plain = _survey(fh)
+    if not plain:
+        text = io.TextIOWrapper(fh, encoding="utf-8")
+        try:
+            fh = io.BytesIO(text.read().encode())
+        finally:
+            text.detach()
+        lines, ends_newline, _ = _survey(fh)
     if not ends_newline:
         raise ValueError("map file must end with a newline")
-    fh.seek(0)
     header = fh.readline()[:-1]
     if not header:
         raise ValueError("empty map file")
-    return header
-
-
-def _decode(line: bytes) -> str:
-    # UTF-8, as a text file is read; a byte it cannot decode becomes U+FFFD
-    return line.decode("utf-8", "replace")
+    return fh, lines, header
 
 
 def _parse_header(header: bytes) -> tuple[int, int]:
-    line = _decode(header)
+    line = header.decode()
     parts = line.split(" ")
     try:
         n, m = map(int, parts)

@@ -1,3 +1,4 @@
+import inspect
 import io
 import os
 import subprocess
@@ -7,7 +8,13 @@ from pathlib import Path
 import pytest
 
 import dispdiff
-from dispdiff import g_table
+from dispdiff import (
+    LinearMap,
+    g_table,
+    parse_generator_matrix,
+    parse_map_file,
+    serialize_generator_matrix,
+)
 from dispdiff.cli import main
 
 from peakmem import peak_below
@@ -357,8 +364,6 @@ class TestContract:
         assert not out.exists()
 
     def test_file_roundtrip_byte_identical(self, tmp_path, capsys):
-        from dispdiff import parse_map_file, serialize_generator_matrix
-
         path = tmp_path / "f7.gm"
         main(["construct", "dispersive", "--n", "7", "--out", str(path)])
         capsys.readouterr()
@@ -392,8 +397,9 @@ class TestContract:
 
 class TestFilesReadAsText:
     """A map file is read as bytes, but one that is not pure ASCII, or that
-    holds a \r, is decoded as text first: it parses, or fails with the
-    message, as when every file was read as text."""
+    holds a \\r, is decoded as UTF-8 text first: it parses, or fails with
+    the message, as when every file was read as text. The library reads
+    every file as the CLI does, in any locale."""
 
     NO_N1 = (
         "error: no diffusive map exists on 1-bit inputs: the required "
@@ -403,35 +409,79 @@ class TestFilesReadAsText:
         "error: 'utf-8' codec can't decode byte 0xff in position 0: "
         "invalid start byte\n"
     )
+    NON_ASCII = "1 2\n0 0\u06611\n1 10\n".encode()
+    NOT_A_WORD = "error: not a binary word: '0\u06611'\n"
+    TABLE_INFO = (0, "truth table n=1 m=2 injective=yes\n", "")
 
     @pytest.mark.parametrize(
         "data, info, verify",
         [
-            (
-                b"1 2\r\n0 01\r\n1 10\r\n",
-                (0, "truth table n=1 m=2 injective=yes\n", ""),
-                (1, "", NO_N1),
-            ),
+            (b"1 2\r\n0 01\r\n1 10\r\n", TABLE_INFO, (1, "", NO_N1)),
+            (b"1 2\r0 01\r1 10\r", TABLE_INFO, (1, "", NO_N1)),
+            (b"1 2\r\n0 01\n1 10\r\n", TABLE_INFO, (1, "", NO_N1)),
             (
                 b"2 2\r\n10\r\n01\r\n",
                 (0, "generator matrix n=2 m=2 rank=2\n", ""),
                 (0, "bit 1: 2/2\nbit 2: 2/2\nPASS\n", ""),
             ),
-            (
-                "1 2\n0 0\u06611\n1 10\n".encode(),
-                (1, "", "error: not a binary word: '0\u06611'\n"),
-                (1, "", "error: not a binary word: '0\u06611'\n"),
-            ),
+            (NON_ASCII, (1, "", NOT_A_WORD), (1, "", NOT_A_WORD)),
             # the fuzz corpus's "binary" file
             (b"\xff\xfe\x00\n", (1, "", NOT_UTF8), (1, "", NOT_UTF8)),
         ],
-        ids=["crlf-table", "crlf-matrix", "non-ascii-table", "not-utf8"],
+        ids=[
+            "crlf-table", "lone-cr-table", "mixed-newline-table", "crlf-matrix",
+            "non-ascii-table", "not-utf8",
+        ],
     )
     def test_outcome_as_text(self, tmp_path, capsys, data, info, verify):
         path = tmp_path / "map"
         path.write_bytes(data)
         assert run(capsys, "info", str(path)) == info
         assert run(capsys, "verify", "diffusive", str(path)) == verify
+        try:
+            map_ = parse_map_file(io.BytesIO(data))
+        except ValueError as exc:
+            assert info == (1, "", f"error: {exc}\n")
+        else:
+            # the map of the file with each line's \r\n or \r made \n
+            assert info[0] == 0
+            text = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if isinstance(map_, LinearMap):
+                assert serialize_generator_matrix(map_) == text
+            else:
+                assert table_bytes(map_) == text
+
+    def test_crlf_matrix_through_its_own_parser(self):
+        parsed = parse_generator_matrix(io.BytesIO(b"2 2\r\n10\r\n01\r\n"))
+        assert parsed == LinearMap(2, 2, (0b10, 0b01))
+
+    def test_parse_map_file_takes_only_the_file(self):
+        assert list(inspect.signature(parse_map_file).parameters) == ["fh"]
+
+    @pytest.mark.parametrize(
+        "data, stderr",
+        [(NON_ASCII, NOT_A_WORD), (b"\xff\xfe\x00\n", NOT_UTF8)],
+        ids=["non-ascii-table", "not-utf8"],
+    )
+    def test_outcome_does_not_depend_on_the_locale(self, tmp_path, data, stderr):
+        path = tmp_path / "map"
+        path.write_bytes(data)
+        src = str(Path(dispdiff.__file__).resolve().parent.parent)
+
+        def info(locale):
+            # stderr is UTF-8 in both runs, so only the file's reading differs
+            env = {
+                **os.environ, "PYTHONPATH": src, "LC_ALL": locale,
+                "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+                "PYTHONIOENCODING": "utf-8",
+            }
+            done = subprocess.run(
+                [sys.executable, "-m", "dispdiff.cli", "info", str(path)],
+                capture_output=True, env=env, timeout=60,
+            )
+            return done.returncode, done.stderr.decode()
+
+        assert info("C") == info("C.UTF-8") == (1, stderr)
 
 
 class TestConstructVerifyRoundTrip:
@@ -463,7 +513,5 @@ class TestConstructVerifyRoundTrip:
         code, stdout, _ = run(capsys, "verify", "diffusive", str(path))
         assert code == 0 and stdout.endswith("PASS\n")
         # serialized form survives a parse/re-serialize cycle untouched
-        from dispdiff import parse_map_file, serialize_generator_matrix
-
         data = path.read_bytes()
         assert serialize_generator_matrix(parse_map_file(io.BytesIO(data))) == data
