@@ -37,9 +37,7 @@ from .explorer import SearchOutcome, search_linear_k_dispersive
 from .f2linear import (
     LinearMap,
     TruthTableMap,
-    parse_generator_matrix,
     parse_map_file,
-    parse_truth_table,
     rank,
     serialize_generator_matrix,
     serialize_truth_table,
@@ -73,9 +71,7 @@ __all__ = [
     "search_linear_k_dispersive",
     "LinearMap",
     "TruthTableMap",
-    "parse_generator_matrix",
     "parse_map_file",
-    "parse_truth_table",
     "rank",
     "serialize_generator_matrix",
     "serialize_truth_table",

@@ -202,14 +202,14 @@ def tabulate(map_: LinearMap) -> TruthTableMap:
 # "n m" header line. A generator matrix file follows with n rows of m
 # characters; a truth table file with 2^n lines "input output" in
 # ascending input order. Serialization is canonical (single \n
-# separators, trailing newline) so files round-trip byte for byte. Every
-# parser reads a binary file object through _open. A plain file (one
-# that can seek, is pure ASCII and holds no \r) is read as bytes in two
-# passes: the first counts its lines, and the second reads its rows. Any
-# other file is first decoded whole as UTF-8 text with universal
-# newlines, and its text is read the same way. A table's lines move
-# through one reused buffer of _BLOCK_ROWS lines each way, so no buffer
-# the size of a plain file is ever held.
+# separators, trailing newline) so files round-trip byte for byte.
+# parse_map_file is the one reader. A plain file (one that can seek, is
+# pure ASCII and holds no \r) is read as bytes in two passes: the first
+# counts its lines, and the second reads its rows. Any other file is
+# first decoded whole as UTF-8 text with universal newlines, and its text
+# is read the same way. A table's lines move through one reused buffer of
+# _BLOCK_ROWS lines each way, and any other line is read _LINE_BYTES at
+# most, so no buffer the size of a plain file is ever held.
 
 
 def serialize_generator_matrix(map_: LinearMap) -> bytes:
@@ -218,21 +218,15 @@ def serialize_generator_matrix(map_: LinearMap) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def parse_generator_matrix(fh: BinaryIO) -> LinearMap:
-    return _parse_generator_matrix(*_open(fh))
-
-
-def _parse_generator_matrix(fh: BinaryIO, lines: int, header: bytes) -> LinearMap:
-    n, m = _parse_header(header)
-    if lines - 1 != n:
-        raise ValueError(f"expected {n} rows after header, got {lines - 1}")
-    # the count held, so the n <= 64 rows are read whole
-    fh.seek(len(header) + 1)
-    rows = [BitWord.parse(row) for row in fh.read()[:-1].decode().split("\n")]
-    for row in rows:
-        if row.width != m:
-            raise ValueError(f"generator width {row.width} != output dim {m}")
-    return LinearMap(n, m, tuple(row.value for row in rows))
+def _parse_generator_matrix(fh: BinaryIO, n: int, m: int, rows: int) -> LinearMap:
+    """The matrix file at line 2 of fh, which holds `rows` lines more."""
+    if rows != n:
+        raise ValueError(f"expected {n} rows after header, got {rows}")
+    words = [BitWord.parse(_readline(fh, i)[:-1].decode()) for i in range(2, n + 2)]
+    for word in words:
+        if word.width != m:
+            raise ValueError(f"generator width {word.width} != output dim {m}")
+    return LinearMap(n, m, tuple(word.value for word in words))
 
 
 def serialize_truth_table(map_: TruthTableMap, fh: BinaryIO) -> None:
@@ -254,24 +248,20 @@ def serialize_truth_table(map_: TruthTableMap, fh: BinaryIO) -> None:
         fh.write(block)
 
 
-def parse_truth_table(fh: BinaryIO) -> TruthTableMap:
-    return _parse_truth_table(*_open(fh))
+def _parse_truth_table(fh: BinaryIO, n: int, m: int, entries: int) -> TruthTableMap:
+    """Read the table file at line 2 of fh, which holds `entries` lines
+    more, a block at a time.
 
-
-def _parse_truth_table(fh: BinaryIO, lines: int, header: bytes) -> TruthTableMap:
-    """Read a table file's lines a block at a time.
-
-    The header checks come first, then the entry count, so the table is
-    allocated only for a file with one line per entry. Each block is then
-    checked as columns of one uint8 array; the first line that is not
-    canonical, if any, goes to ``_check_table_line``, which formats the
-    same message the per-line reading would raise first.
+    The cap and the entry count are checked first, so the table is
+    allocated only for a file with one line per entry. Each block is then checked
+    as columns of one uint8 array; the first line that is not canonical,
+    if any, goes to ``_check_table_line``, which formats the same message
+    the per-line reading would raise first.
     """
-    n, m = _parse_header(header)
     size = table_size(n)
-    if lines - 1 != size:
-        raise ValueError(f"expected {size} entries after header, got {lines - 1}")
-    start = len(header) + 1
+    if entries != size:
+        raise ValueError(f"expected {size} entries after header, got {entries}")
+    start = fh.tell()
     width = n + m + 2
     # lines before the first one of the wrong length sit at multiples of
     # width; that line itself fails the column checks or starts row `fit`
@@ -296,7 +286,8 @@ def _parse_truth_table(fh: BinaryIO, lines: int, header: bytes) -> TruthTableMap
             break
     if bad_line < size:
         fh.seek(start + bad_line * width)
-        _check_table_line(bad_line, fh.readline()[:-1].decode(), n, m)
+        line = _readline(fh, bad_line + 2)[:-1].decode()
+        _check_table_line(bad_line, line, n, m)
         raise AssertionError(f"table line {bad_line} flagged but canonical")
     return TruthTableMap._adopt(n, m, values)
 
@@ -346,15 +337,48 @@ def _check_table_line(j: int, line: str, n: int, m: int) -> None:
 
 
 def parse_map_file(fh: BinaryIO) -> LinearMap | TruthTableMap:
-    """Sniff the format from line 2: table lines carry two fields, matrix
-    rows one."""
-    fh, lines, header = _open(fh)
-    line2 = fh.readline()
+    """The map in the binary file object fh, a matrix or a table file.
+
+    A plain file (seekable, pure ASCII, no \\r) is read as it is. Any
+    other is decoded whole as UTF-8 text with universal newlines, or fails
+    with the codec's message, and its text is read instead; fh is left
+    open. The format is sniffed from line 2: table lines carry two
+    fields, matrix rows one."""
+    plain = False
+    if fh.seekable():
+        lines, ends_newline, plain = _survey(fh)
+    if not plain:
+        text = io.TextIOWrapper(fh, encoding="utf-8")
+        try:
+            fh = io.BytesIO(text.read().encode())
+        finally:
+            text.detach()
+        lines, ends_newline, _ = _survey(fh)
+    if not ends_newline:
+        raise ValueError("map file must end with a newline")
+    header = _readline(fh, 1)[:-1]
+    if not header:
+        raise ValueError("empty map file")
+    line2 = _readline(fh, 2)
     if not line2:
         raise ValueError("map file needs a header and at least one row")
-    if b" " in line2:
-        return _parse_truth_table(fh, lines, header)
-    return _parse_generator_matrix(fh, lines, header)
+    n, m = _parse_header(header)
+    fh.seek(len(header) + 1)
+    parse = _parse_truth_table if b" " in line2 else _parse_generator_matrix
+    return parse(fh, n, m, lines - 1)
+
+
+# the longest line read: a table line at n = m = MAX_WIDTH and its newline
+_LINE_BYTES = 2 * MAX_WIDTH + 2
+
+
+def _readline(fh: BinaryIO, number: int) -> bytes:
+    """Line `number` of the file, which starts at fh's position, with its
+    newline, or b"" at the end of the file; no longer line is ever held."""
+    line = fh.readline(_LINE_BYTES)
+    if line and not line.endswith(b"\n"):
+        raise ValueError(f"line {number} is longer than {_LINE_BYTES - 1} bytes")
+    return line
 
 
 # pass 1 reads a map file in blocks of this many bytes
@@ -376,31 +400,6 @@ def _survey(fh: BinaryIO) -> tuple[int, bool, bool]:
         last = block[-1:]
     fh.seek(0)
     return lines, last == b"\n", plain
-
-
-def _open(fh: BinaryIO) -> tuple[BinaryIO, int, bytes]:
-    """The file to parse, its newline count and its header line without
-    its newline, after the checks that come first in every map file; the
-    file is left at the start of line 2. A plain file (seekable, pure
-    ASCII, no \\r) is fh itself. Any other is decoded whole as UTF-8 text
-    with universal newlines, or fails with the codec's message, and its
-    text is parsed instead; fh is left open."""
-    plain = False
-    if fh.seekable():
-        lines, ends_newline, plain = _survey(fh)
-    if not plain:
-        text = io.TextIOWrapper(fh, encoding="utf-8")
-        try:
-            fh = io.BytesIO(text.read().encode())
-        finally:
-            text.detach()
-        lines, ends_newline, _ = _survey(fh)
-    if not ends_newline:
-        raise ValueError("map file must end with a newline")
-    header = fh.readline()[:-1]
-    if not header:
-        raise ValueError("empty map file")
-    return fh, lines, header
 
 
 def _parse_header(header: bytes) -> tuple[int, int]:

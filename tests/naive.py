@@ -168,8 +168,9 @@ def first_linear_witness(
     return False, None, examined <= budget
 
 
-# The table file format, one line at a time: the reader and writer the
-# array passes in f2linear replaced, kept with every check in its order.
+# The map file formats, one line at a time: the table reader and writer
+# the array passes in f2linear replaced, and a matrix reader, kept with
+# every check in its order.
 MAX_WIDTH = 64
 MAX_TABLE_BITS = 28
 
@@ -180,22 +181,61 @@ def serialize_table(n: int, m: int, values: list[int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_table(text: str) -> tuple[int, int, list[int]]:
-    """(n, m, outputs) of a table file, or the ValueError it earns."""
+def parse_map(text: str) -> tuple[int, int, list[int]]:
+    """(n, m, outputs) of a table file or (n, m, rows) of a matrix file,
+    told apart by line 2: table lines carry two fields, matrix rows one."""
+    lines = _lines(text)
+    if len(lines) < 2:
+        raise ValueError("map file needs a header and at least one row")
+    return (parse_table if " " in lines[1] else parse_matrix)(text)
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of a map file, after the checks that come first in both
+    formats."""
     if not text.endswith("\n"):
         raise ValueError("map file must end with a newline")
     lines = text[:-1].split("\n")
     if not lines[0]:
         raise ValueError("empty map file")
-    parts = lines[0].split(" ")
+    return lines
+
+
+def _header(line: str) -> tuple[int, int]:
+    parts = line.split(" ")
     try:
         n, m = map(int, parts)
         if [str(n), str(m)] != parts:
             raise ValueError
     except ValueError:
-        raise ValueError(f"bad header line: {lines[0]!r}") from None
+        raise ValueError(f"bad header line: {line!r}") from None
     if not (1 <= n <= MAX_WIDTH and 1 <= m <= MAX_WIDTH):
-        raise ValueError(f"bad dimensions in header: {lines[0]!r}")
+        raise ValueError(f"bad dimensions in header: {line!r}")
+    return n, m
+
+
+def parse_matrix(text: str) -> tuple[int, int, list[int]]:
+    """(n, m, rows) of a generator matrix file, or the ValueError it earns:
+    every row is read as a word before any is checked against m."""
+    lines = _lines(text)
+    n, m = _header(lines[0])
+    if len(lines) != n + 1:
+        raise ValueError(f"expected {n} rows after header, got {len(lines) - 1}")
+    for row in lines[1:]:
+        if not row or row.strip("01"):
+            raise ValueError(f"not a binary word: {row!r}")
+        if len(row) > MAX_WIDTH:
+            raise ValueError(f"width must be in 1..{MAX_WIDTH}, got {len(row)}")
+    for row in lines[1:]:
+        if len(row) != m:
+            raise ValueError(f"generator width {len(row)} != output dim {m}")
+    return n, m, [int(row, 2) for row in lines[1:]]
+
+
+def parse_table(text: str) -> tuple[int, int, list[int]]:
+    """(n, m, outputs) of a table file, or the ValueError it earns."""
+    lines = _lines(text)
+    n, m = _header(lines[0])
     if n > MAX_TABLE_BITS:
         raise ValueError(
             f"a table on n={n} inputs exceeds the cap of 2^{MAX_TABLE_BITS} entries"

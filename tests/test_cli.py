@@ -11,7 +11,6 @@ import dispdiff
 from dispdiff import (
     LinearMap,
     g_table,
-    parse_generator_matrix,
     parse_map_file,
     serialize_generator_matrix,
 )
@@ -395,6 +394,23 @@ class TestContract:
         assert runs[0] == runs[1]
 
 
+def assert_library_agrees(data: bytes, info: tuple[int, str, str]) -> None:
+    """parse_map_file reads data as `info` did: it returns the map, whose
+    canonical file is data with each line's \\r\\n or \\r made \\n, or it
+    raises the message `info` printed."""
+    try:
+        map_ = parse_map_file(io.BytesIO(data))
+    except ValueError as exc:
+        assert info == (1, "", f"error: {exc}\n")
+    else:
+        assert info[0] == 0
+        text = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if isinstance(map_, LinearMap):
+            assert serialize_generator_matrix(map_) == text
+        else:
+            assert table_bytes(map_) == text
+
+
 class TestFilesReadAsText:
     """A map file is read as bytes, but one that is not pure ASCII, or that
     holds a \\r, is decoded as UTF-8 text first: it parses, or fails with
@@ -438,22 +454,7 @@ class TestFilesReadAsText:
         path.write_bytes(data)
         assert run(capsys, "info", str(path)) == info
         assert run(capsys, "verify", "diffusive", str(path)) == verify
-        try:
-            map_ = parse_map_file(io.BytesIO(data))
-        except ValueError as exc:
-            assert info == (1, "", f"error: {exc}\n")
-        else:
-            # the map of the file with each line's \r\n or \r made \n
-            assert info[0] == 0
-            text = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            if isinstance(map_, LinearMap):
-                assert serialize_generator_matrix(map_) == text
-            else:
-                assert table_bytes(map_) == text
-
-    def test_crlf_matrix_through_its_own_parser(self):
-        parsed = parse_generator_matrix(io.BytesIO(b"2 2\r\n10\r\n01\r\n"))
-        assert parsed == LinearMap(2, 2, (0b10, 0b01))
+        assert_library_agrees(data, info)
 
     def test_parse_map_file_takes_only_the_file(self):
         assert list(inspect.signature(parse_map_file).parameters) == ["fh"]
@@ -482,6 +483,33 @@ class TestFilesReadAsText:
             return done.returncode, done.stderr.decode()
 
         assert info("C") == info("C.UTF-8") == (1, stderr)
+
+
+class TestOneReader:
+    """parse_map_file is the one reader of a map file. Files that the
+    format-pinned readers it replaced answered differently get its one
+    answer, in the library and in ``info`` alike."""
+
+    @pytest.mark.parametrize(
+        "data, info",
+        [
+            # once also "expected 2 entries after header, got 0" and
+            # "expected 1 rows after header, got 0"
+            (b"1 2\n", (1, "", "error: map file needs a header and at least one row\n")),
+            # a matrix file, once "expected 4 entries after header, got 2"
+            # when read as a table
+            (b"2 2\n10\n01\n", (0, "generator matrix n=2 m=2 rank=2\n", "")),
+            # a table file, once "expected 1 rows after header, got 2" when
+            # read as a matrix
+            (b"1 2\n0 01\n1 10\n", (0, "truth table n=1 m=2 injective=yes\n", "")),
+        ],
+        ids=["header-only", "matrix", "table"],
+    )
+    def test_library_and_info_agree(self, tmp_path, capsys, data, info):
+        path = tmp_path / "map"
+        path.write_bytes(data)
+        assert run(capsys, "info", str(path)) == info
+        assert_library_agrees(data, info)
 
 
 class TestConstructVerifyRoundTrip:

@@ -10,9 +10,7 @@ from dispdiff import (
     BitWord,
     LinearMap,
     TruthTableMap,
-    parse_generator_matrix,
     parse_map_file,
-    parse_truth_table,
     rank,
     serialize_generator_matrix,
     tabulate,
@@ -192,7 +190,7 @@ class TestTabulate:
         with peak_below(), pytest.raises(ValueError, match=r"n=29 .* 2\^28 entries"):
             tabulate(big)
         with pytest.raises(ValueError, match=r"n=29 .* 2\^28 entries"):
-            parse_truth_table(io.BytesIO(b"29 1\n" + b"0" * 29 + b" 1\n"))
+            parse_map_file(io.BytesIO(b"29 1\n" + b"0" * 29 + b" 1\n"))
 
 
 class TestTruthTableMap:
@@ -221,7 +219,7 @@ class TestFileFormats:
     def test_generator_exact_text(self):
         text = serialize_generator_matrix(lin(F3))
         assert text == b"3 4\n1100\n0110\n0101\n"
-        assert parse_generator_matrix(io.BytesIO(text)) == lin(F3)
+        assert parse_map_file(io.BytesIO(text)) == lin(F3)
 
     def test_truth_table_exact_text(self):
         text = table_bytes(tabulate(identity_map(2)))
@@ -230,15 +228,15 @@ class TestFileFormats:
     @given(matrix_st)
     def test_generator_roundtrip(self, mp):
         text = serialize_generator_matrix(mp)
-        assert parse_generator_matrix(io.BytesIO(text)) == mp
-        assert serialize_generator_matrix(parse_generator_matrix(io.BytesIO(text))) == text
+        assert parse_map_file(io.BytesIO(text)) == mp
+        assert serialize_generator_matrix(parse_map_file(io.BytesIO(text))) == text
 
     @given(matrix_st)
     def test_table_roundtrip(self, mp):
         table = tabulate(mp)
         text = table_bytes(table)
-        assert parse_truth_table(io.BytesIO(text)) == table
-        assert table_bytes(parse_truth_table(io.BytesIO(text))) == text
+        assert parse_map_file(io.BytesIO(text)) == table
+        assert table_bytes(parse_map_file(io.BytesIO(text))) == text
 
     def test_sniffing(self):
         gm = serialize_generator_matrix(lin(F3))

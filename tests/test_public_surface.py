@@ -33,6 +33,8 @@ REMOVED = [
     "verify_dispersive_linear",
     "verify_k_dispersive",
     "verify_k_diffusive",
+    "parse_truth_table",
+    "parse_generator_matrix",
 ]
 
 

@@ -1,5 +1,5 @@
 """The table file's block passes against the per-line reader and writer
-in ``naive``: byte-identical files, equal tables, and the same message for
+in ``naive``: byte-identical files, equal tables, and the same outcome for
 every malformed file, with the per-line checker run on one line at most.
 The block passes write and read binary file objects, here ``io.BytesIO``
 over the file's bytes; ``naive`` reads and writes text, and a file's
@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 import naive
 from dispdiff import (
+    LinearMap,
     TruthTableMap,
     g_table,
     parse_map_file,
-    parse_truth_table,
     serialize_truth_table,
 )
 from dispdiff import f2linear
@@ -45,8 +45,8 @@ def _tables():
         yield _random_table(rng, rng.randint(1, 12), rng.randint(1, 64))
 
 
-def _parse(text: str) -> TruthTableMap:
-    return parse_truth_table(io.BytesIO(text.encode()))
+def _parse(text: str) -> LinearMap | TruthTableMap:
+    return parse_map_file(io.BytesIO(text.encode()))
 
 
 def _as_read(text: str) -> str:
@@ -55,13 +55,16 @@ def _as_read(text: str) -> str:
 
 
 def _outcome(parse, file):
-    """What parse makes of a file: the table as (n, m, outputs) or the message."""
+    """What parse makes of a file: the table as (n, m, outputs), the matrix
+    as (n, m, rows) or the message."""
     try:
         parsed = parse(file)
     except ValueError as exc:
         return str(exc)
     if isinstance(parsed, TruthTableMap):
         return parsed.input_dim, parsed.output_dim, parsed.values.tolist()
+    if isinstance(parsed, LinearMap):
+        return parsed.input_dim, parsed.output_dim, list(parsed.generators)
     return parsed
 
 
@@ -75,7 +78,7 @@ def small_blocks(rows: int):
 
 @contextmanager
 def checked_lines():
-    """Collects the line numbers parse_truth_table hands to the per-line
+    """Collects the line numbers parse_map_file hands to the per-line
     checker inside the block."""
     seen = []
     check = f2linear._check_table_line
@@ -99,12 +102,12 @@ def test_matches_per_line_reader_and_writer(table):
     data = table_bytes(table)
     assert data == naive.serialize_table(n, m, values).encode()
     with checked_lines() as seen:
-        assert parse_truth_table(io.BytesIO(data)) == table
+        assert parse_map_file(io.BytesIO(data)) == table
     assert naive.parse_table(data.decode()) == (n, m, values)
     assert seen == []
     with small_blocks(97):
         assert table_bytes(table) == data
-        assert parse_truth_table(io.BytesIO(data)) == table
+        assert parse_map_file(io.BytesIO(data)) == table
 
 
 SUBSTITUTES = ["0", "1", "2", " ", "\n", "\t", "\r", "١"]
@@ -146,8 +149,10 @@ def malformed_tables(draw) -> str:
 @settings(max_examples=600, deadline=None)
 @given(malformed_tables())
 def test_malformed_files_fail_as_the_per_line_reader_does(text):
-    # a \r ends a line, as in the text the per-line reader is given
-    expected = _outcome(naive.parse_table, _as_read(text))
+    # a \r ends a line, as in the text the per-line reader is given; a
+    # file whose line 2 lost its space, or that has no line 2, is read as
+    # a matrix file would be
+    expected = _outcome(naive.parse_map, _as_read(text))
     with checked_lines() as seen:
         assert _outcome(_parse, text) == expected
     assert len(seen) <= 1
@@ -177,7 +182,7 @@ def test_undecodable_byte_fails_with_the_codec_message():
     # a file that is not plain is decoded whole first: a byte that is not
     # UTF-8 fails with the codec's message, as in the CLI
     with pytest.raises(ValueError) as exc:
-        parse_truth_table(io.BytesIO(b"1 2\n0 0\xff1\n1 10\n"))
+        parse_map_file(io.BytesIO(b"1 2\n0 0\xff1\n1 10\n"))
     assert str(exc.value) == (
         "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"
     )
@@ -189,6 +194,43 @@ def test_hostile_header_costs_no_table():
     with peak_below(f2linear._READ_BYTES + MB), pytest.raises(ValueError) as exc:
         parse_map_file(io.BytesIO(data + data[6:]))
     assert str(exc.value) == "expected 268435456 entries after header, got 2"
+
+
+LONG = 4 * MB  # a line this long would be held whole by an unbounded read
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"1" * LONG + b"\n0 01\n1 10\n", "line 1 is longer than 129 bytes"),
+        (b"1 2\n" + b"0" * LONG + b" 01\n1 10\n", "line 2 is longer than 129 bytes"),
+        (b"2 4\n0101\n" + b"0" * LONG + b"\n", "line 3 is longer than 129 bytes"),
+        (b"1 2\n0 01\n1 " + b"1" * LONG + b"\n", "line 3 is longer than 129 bytes"),
+        # a canonical line is at most 129 bytes and its newline
+        (b"1 " + b"1" * 127 + b"\n0 01\n", "bad dimensions in header: '1 " + "1" * 127 + "'"),
+        (b"1 " + b"1" * 128 + b"\n0 01\n", "line 1 is longer than 129 bytes"),
+        (b"1 2\n0 01\n1 " + b"1" * 127 + b"\n", "output width 127 != 2"),
+        (b"1 2\n0 01\n1 " + b"1" * 128 + b"\n", "line 3 is longer than 129 bytes"),
+        (b"2 4\n0101\n" + b"0" * 129 + b"\n", "width must be in 1..64, got 129"),
+        (b"2 4\n0101\n" + b"0" * 130 + b"\n", "line 3 is longer than 129 bytes"),
+    ],
+    ids=[
+        "header", "line-2", "matrix-row", "table-line",
+        "header-129", "header-130", "table-line-129", "table-line-130",
+        "matrix-row-129", "matrix-row-130",
+    ],
+)
+def test_long_line_is_refused_unread(tmp_path, capsys, data, message):
+    # each line is read 130 bytes at most, so no line is held whole
+    path = tmp_path / "long"
+    path.write_bytes(data)
+    with open(path, "rb") as fh, peak_below(f2linear._READ_BYTES + MB):
+        with pytest.raises(ValueError) as exc:
+            parse_map_file(fh)
+    assert str(exc.value) == message
+    for argv in (["info"], ["verify", "dispersive"]):
+        assert main([*argv, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_fifo_table_verifies_as_its_file(tmp_path, capsys):

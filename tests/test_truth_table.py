@@ -18,7 +18,6 @@ from dispdiff import (
     extend_output,
     g_table,
     parse_map_file,
-    parse_truth_table,
     quadruple_sum_check,
     tabulate,
 )
@@ -143,7 +142,7 @@ class TestArrayPaths:
     @given(tables_st)
     def test_serialize_parse_roundtrip(self, table):
         text = table_bytes(table)
-        assert parse_truth_table(io.BytesIO(text)) == table
+        assert parse_map_file(io.BytesIO(text)) == table
         assert text.decode().splitlines()[1:] == [
             f"{format(j, f'0{table.input_dim}b')} {format(v, f'0{table.output_dim}b')}"
             for j, v in enumerate(table.values.tolist())
