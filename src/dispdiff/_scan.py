@@ -8,9 +8,9 @@ the second half, permuted within the block by d's lower bits, so
 x-index array.  All accumulation is exact integer arithmetic.
 
 Workers split the pattern list into contiguous runs and scan each pattern
-whole; partial sums add exactly and the first violation is the minimum of
-the per-worker (x, pattern index) minima, so results are identical for
-any worker count.
+whole. Results come back per pattern in pattern order: the bit counts add
+exactly and the first violation is the least (x, pattern index), so
+results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -45,24 +45,6 @@ def chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
 MIN_PAIRS_PER_WORKER = 1 << 22
 
 
-def _run_chunked(
-    fn: Callable[[int, int], T], total: int, threads: int, pairs: int
-) -> list[T]:
-    """fn over contiguous runs of range(total), one run per worker; a
-    scan of fewer than MIN_PAIRS_PER_WORKER pairs a worker runs as one."""
-    # more workers than cores buys nothing and a huge --threads would
-    # start that many OS threads
-    workers = min(threads, os.cpu_count() or 1, pairs // MIN_PAIRS_PER_WORKER)
-    ranges = chunk_bounds(total, workers)
-    if len(ranges) <= 1:
-        return [fn(lo, hi) for lo, hi in ranges]
-    # imported here: serial scans and matrix commands never load it
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        return list(pool.map(lambda r: fn(*r), ranges))
-
-
 def _pair_diffs(values: np.ndarray, d: int) -> np.ndarray:
     """values[x] ^ values[x ^ d] for each x whose bit at d's top position
     t is 0, ascending: entry i belongs to x = i + (i >> t << t)."""
@@ -73,6 +55,33 @@ def _pair_diffs(values: np.ndarray, d: int) -> np.ndarray:
     if low:
         partners = partners[:, np.arange(1 << t) ^ low]
     return (blocks[:, 0, :] ^ partners).ravel()
+
+
+def _map_patterns(
+    fn: Callable[[np.ndarray, int], T],
+    values: np.ndarray,
+    patterns: Sequence[int],
+    threads: int,
+) -> list[T]:
+    """fn(_pair_diffs(values, d), d) for each pattern d, in pattern order.
+    Workers take contiguous runs of patterns; a scan of fewer than
+    MIN_PAIRS_PER_WORKER pairs a worker runs as one."""
+    pairs = len(values) // 2 * len(patterns)
+    # more workers than cores buys nothing and a huge --threads would
+    # start that many OS threads
+    workers = min(threads, os.cpu_count() or 1, pairs // MIN_PAIRS_PER_WORKER)
+
+    def run(bounds: tuple[int, int]) -> list[T]:
+        return [fn(_pair_diffs(values, d), d) for d in patterns[slice(*bounds)]]
+
+    ranges = chunk_bounds(len(patterns), workers)
+    if len(ranges) == 1:
+        return run(ranges[0])
+    # imported here: serial scans and matrix commands never load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+        return [r for part in pool.map(run, ranges) for r in part]
 
 
 def bit_sums(
@@ -87,20 +96,14 @@ def bit_sums(
     first).
     """
 
-    def scan(lo: int, hi: int) -> np.ndarray:
-        sums = np.zeros(m, dtype=np.int64)
-        for d in patterns[lo:hi]:
-            diffs = _pair_diffs(values, d)
-            for b in range(m):
-                sums[b] += np.count_nonzero(diffs & np.uint64(1 << b))
-        return sums
+    def counts(diffs: np.ndarray, d: int) -> list[int]:
+        # word index i is integer bit m - i
+        return [
+            np.count_nonzero(diffs & np.uint64(1 << (m - i))) for i in range(1, m + 1)
+        ]
 
-    total = np.zeros(m, dtype=np.int64)
-    pairs = len(values) // 2 * len(patterns)
-    for part in _run_chunked(scan, len(patterns), threads, pairs):
-        total += part
-    # integer bit b holds word index m - b
-    return [int(total[m - i]) for i in range(1, m + 1)]
+    per_pattern = _map_patterns(counts, values, patterns, threads)
+    return [sum(c[b] for c in per_pattern) for b in range(m)]
 
 
 def first_distance_violation(
@@ -112,22 +115,16 @@ def first_distance_violation(
     """First pair (by x, then pattern order) whose output distance is not
     m/2. Returns (x, d, output_distance) or None."""
 
-    def scan(lo: int, hi: int) -> tuple[int, int, int] | None:
-        firsts = []
-        for d_idx, d in enumerate(patterns[lo:hi], start=lo):
-            # uint8 counts of at most 64, so doubling them cannot wrap
-            dists = np.bitwise_count(_pair_diffs(values, d))
-            bad = np.flatnonzero(dists * 2 != m)
-            if bad.size:
-                i = int(bad[0])
-                t = d.bit_length() - 1
-                firsts.append((i + (i >> t << t), d_idx, int(dists[i])))
-        return min(firsts, default=None)
+    def first(diffs: np.ndarray, d: int) -> tuple[int, int, int] | None:
+        # uint8 counts of at most 64, so doubling them cannot wrap
+        dists = np.bitwise_count(diffs)
+        bad = np.flatnonzero(dists * 2 != m)
+        if not bad.size:
+            return None
+        i = int(bad[0])
+        t = d.bit_length() - 1
+        return i + (i >> t << t), d, int(dists[i])
 
-    pairs = len(values) // 2 * len(patterns)
-    parts = _run_chunked(scan, len(patterns), threads, pairs)
-    found = [b for b in parts if b is not None]
-    if not found:
-        return None
-    x, d_idx, dist = min(found)
-    return x, patterns[d_idx], dist
+    per_pattern = _map_patterns(first, values, patterns, threads)
+    hits = [(hit[0], j, hit) for j, hit in enumerate(per_pattern) if hit]
+    return min(hits)[2] if hits else None

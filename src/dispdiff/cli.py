@@ -5,7 +5,8 @@ pass/found, 1 for errors or failed verification, 2 for a search that
 exhausted its space without a witness. Identical arguments and input
 files produce byte-identical output, regardless of --threads and of the
 locale: a map file is read by the library's parse_map_file, as bytes
-when it is plain and as UTF-8 text with universal newlines otherwise.
+when it is plain; otherwise it is checked as UTF-8, and each \r\n and
+lone \r in it is read as \n.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from typing import NamedTuple
 from . import _scan
 from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, Record
 from .bitword import diff_patterns, pair_count, pair_space
-from .f2linear import LinearMap, TruthTableMap, np, table_size, transpose
+from .f2linear import _BLOCK_ROWS, LinearMap, TruthTableMap, np, table_size, transpose
 from .dispersive import build_dispersive
 
 
@@ -65,7 +65,12 @@ def g_table(n: int) -> TruthTableMap:
     """Materialize the full permutation table for bulk verification."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    values = _g_words(n, np.arange(table_size(n), dtype=np.uint64))
+    # filled a block at a time: each x ^= x << shift step makes a
+    # block-sized temporary, not a table-sized one
+    values = np.empty(table_size(n), dtype=np.uint64)
+    for lo in range(0, len(values), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(values))
+        values[lo:hi] = _g_words(n, np.arange(lo, hi, dtype=np.uint64))
     return TruthTableMap._adopt(n, n, values)
 
 

@@ -70,7 +70,7 @@ def build_dispersive(n: int, target_m: int | None = None) -> LinearMap:
         raise ValueError(
             f"output dimension {m} below minimum {minimum} for n={n}"
         )
-    return LinearMap(n, m, tuple(semi_weight_generators(m)[:n]))
+    return LinearMap(n, m, semi_weight_generators(m)[:n])
 
 
 def verify_dispersive(

@@ -180,5 +180,5 @@ def search_linear_k_dispersive(
 
     witness = dfs(0)
     if witness is not None:
-        return SearchOutcome(True, LinearMap(n, m, tuple(witness)), examined)
+        return SearchOutcome(True, LinearMap(n, m, witness), examined)
     return SearchOutcome(False, None, examined)

@@ -45,6 +45,7 @@ class LinearMap(Record):
     generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "generators", tuple(self.generators))
         n, m = self.input_dim, self.output_dim
         if not (1 <= n <= MAX_WIDTH and 1 <= m <= MAX_WIDTH):
             raise ValueError(f"dimensions must be in 1..{MAX_WIDTH}")
@@ -169,7 +170,7 @@ def transpose(map_: LinearMap) -> LinearMap:
     n, m = map_.input_dim, map_.output_dim
     if n != m:
         raise ValueError(f"transpose needs a square matrix, got {n}x{m}")
-    return LinearMap(n, m, tuple(map_._columns()))
+    return LinearMap(n, m, map_._columns())
 
 
 MAX_TABLE_BITS = 28  # the largest table any call builds: 2^28 uint64s, 2 GiB
@@ -205,11 +206,11 @@ def tabulate(map_: LinearMap) -> TruthTableMap:
 # separators, trailing newline) so files round-trip byte for byte.
 # parse_map_file is the one reader. A plain file (one that can seek, is
 # pure ASCII and holds no \r) is read as bytes in two passes: the first
-# counts its lines, and the second reads its rows. Any other file is
-# first decoded whole as UTF-8 text with universal newlines, and its text
-# is read the same way. A table's lines move through one reused buffer of
-# _BLOCK_ROWS lines each way, and any other line is read _LINE_BYTES at
-# most, so no buffer the size of a plain file is ever held.
+# counts its lines, and the second reads its rows. Any other file is read
+# whole, must be UTF-8, and has each \r\n and lone \r read as \n (neither
+# byte occurs inside a UTF-8 sequence). A table's lines move through one
+# reused buffer of _BLOCK_ROWS lines each way, and any other line is read
+# _LINE_BYTES at most, so no buffer the size of a plain file is ever held.
 
 
 def serialize_generator_matrix(map_: LinearMap) -> bytes:
@@ -226,7 +227,7 @@ def _parse_generator_matrix(fh: BinaryIO, n: int, m: int, rows: int) -> LinearMa
     for word in words:
         if word.width != m:
             raise ValueError(f"generator width {word.width} != output dim {m}")
-    return LinearMap(n, m, tuple(word.value for word in words))
+    return LinearMap(n, m, [word.value for word in words])
 
 
 def serialize_truth_table(map_: TruthTableMap, fh: BinaryIO) -> None:
@@ -340,19 +341,18 @@ def parse_map_file(fh: BinaryIO) -> LinearMap | TruthTableMap:
     """The map in the binary file object fh, a matrix or a table file.
 
     A plain file (seekable, pure ASCII, no \\r) is read as it is. Any
-    other is decoded whole as UTF-8 text with universal newlines, or fails
-    with the codec's message, and its text is read instead; fh is left
-    open. The format is sniffed from line 2: table lines carry two
-    fields, matrix rows one."""
+    other is read whole and checked as UTF-8, or fails with the codec's
+    message, and each \\r\\n and then each lone \\r in it is read as \\n;
+    fh is left open. The format is sniffed from line 2: table lines carry
+    two fields, matrix rows one."""
     plain = False
     if fh.seekable():
         lines, ends_newline, plain = _survey(fh)
     if not plain:
-        text = io.TextIOWrapper(fh, encoding="utf-8")
-        try:
-            fh = io.BytesIO(text.read().encode())
-        finally:
-            text.detach()
+        data = fh.read()
+        if not data.isascii():
+            data.decode()  # or fail with the codec's message
+        fh = io.BytesIO(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
         lines, ends_newline, _ = _survey(fh)
     if not ends_newline:
         raise ValueError("map file must end with a newline")

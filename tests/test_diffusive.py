@@ -104,9 +104,9 @@ class TestGTable:
         assert hashlib.sha256(data).hexdigest() == G18_SHA256
 
     def test_n20_peak_memory(self):
-        # in place, g needs the 8 MiB table and one temporary of its size;
-        # building a new array per step reads 5x the table or more
-        with peak_below(3 * (8 << 20) + (1 << 20)):
+        # filled a block at a time, g needs the 8 MiB table and temporaries
+        # the size of one block, not of the table
+        with peak_below((8 << 20) + (1 << 20)):
             g_table(20)
 
     @pytest.mark.parametrize("n", [29, 4_000_000_000])
@@ -196,6 +196,28 @@ class TestVerifyDiffusive:
         )
         assert clamped == serial
         assert seen == [2, 2]
+
+
+class TestNonMonotoneDiffusion:
+    """k-diffusion is not monotone in k: a map can pass at one k and fail
+    at a smaller and at a larger one."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_identity_passes_at_n_minus_1_only(self, n):
+        # its columns have weight 1, and K_{<=k}(1; n) vanishes at k = n - 1
+        table = TruthTableMap(n, n, np.arange(1 << n, dtype=np.uint64))
+        linear = LinearMap(n, n, [1 << (n - i) for i in range(1, n + 1)])
+        for k in range(1, n + 1):
+            report = verify_diffusive(table, k)
+            assert report == verify_diffusive(linear, k)
+            assert report.passed == (k == n - 1)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_g_passes_at_1_only(self, n):
+        table = g_table(n)
+        assert [verify_diffusive(table, k).passed for k in range(1, n + 1)] == [
+            k == 1 for k in range(1, n + 1)
+        ]
 
 
 class TestColumnDiffusive:

@@ -280,3 +280,12 @@ def test_linear_map_generators_are_m_bit_ints(gen):
     # here, not by an AttributeError deep in rank or lookup
     with pytest.raises(ValueError, match="not an int in 0..2\\^2-1"):
         LinearMap(1, 2, (gen,))
+
+
+def test_linear_map_holds_its_generators_as_a_tuple():
+    # records compare and hash by their fields, so a list is stored as
+    # the tuple it lists
+    from_list, from_tuple = LinearMap(2, 2, [1, 2]), LinearMap(2, 2, (1, 2))
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+    assert type(from_list.generators) is tuple

@@ -179,8 +179,8 @@ def test_first_fault_message(text, message):
 
 
 def test_undecodable_byte_fails_with_the_codec_message():
-    # a file that is not plain is decoded whole first: a byte that is not
-    # UTF-8 fails with the codec's message, as in the CLI
+    # a file that is not plain is checked as UTF-8 whole first: a byte that
+    # is not UTF-8 fails with the codec's message, as in the CLI
     with pytest.raises(ValueError) as exc:
         parse_map_file(io.BytesIO(b"1 2\n0 0\xff1\n1 10\n"))
     assert str(exc.value) == (
@@ -194,6 +194,33 @@ def test_hostile_header_costs_no_table():
     with peak_below(f2linear._READ_BYTES + MB), pytest.raises(ValueError) as exc:
         parse_map_file(io.BytesIO(data + data[6:]))
     assert str(exc.value) == "expected 268435456 entries after header, got 2"
+
+
+def _g18_file(tmp_path, edit) -> tuple:
+    """g_table(18), and a path holding its file's bytes after edit."""
+    table = g_table(18)
+    path = tmp_path / "g18.tt"
+    path.write_bytes(edit(table_bytes(table)))
+    return table, path
+
+
+def test_crlf_file_is_held_about_twice(tmp_path):
+    # the bytes as read and their copy with \n for \r\n; no decoded text
+    # and no re-encoding of it is made
+    table, path = _g18_file(tmp_path, lambda data: data.replace(b"\n", b"\r\n"))
+    with open(path, "rb") as fh, peak_below(path.stat().st_size * 5 // 2):
+        assert parse_map_file(fh) == table
+
+
+def test_non_ascii_file_is_decoded_once(tmp_path):
+    # the str decoded only to check the bytes are UTF-8 is dropped at once,
+    # before the newlines are translated or any line is read
+    one = "\u0661".encode()  # ARABIC-INDIC DIGIT ONE, in the last output
+    _, path = _g18_file(tmp_path, lambda data: data[:-5] + one + data[-4:])
+    with open(path, "rb") as fh, peak_below(path.stat().st_size * 9 // 2):
+        with pytest.raises(ValueError) as exc:
+            parse_map_file(fh)
+    assert str(exc.value) == "not a binary word: '10101010101010\u0661011'"
 
 
 LONG = 4 * MB  # a line this long would be held whole by an unbounded read
@@ -234,7 +261,7 @@ def test_long_line_is_refused_unread(tmp_path, capsys, data, message):
 
 
 def test_fifo_table_verifies_as_its_file(tmp_path, capsys):
-    # a FIFO cannot seek, so it is read whole as text first
+    # a FIFO cannot seek, so it is read whole first
     data = table_bytes(g_table(8))
     path, fifo = tmp_path / "g8.tt", tmp_path / "g8.fifo"
     path.write_bytes(data)
@@ -281,14 +308,15 @@ class TestPeakMemory:
             parsed = parse_map_file(fh)
         assert parsed == table
 
-    # g_table(20) and the verifier each need a few 8 MiB arrays at once;
-    # the 42 MiB file adds nothing to that
+    # g_table(20) builds its 8 MiB table a block at a time, and the
+    # verifier's injectivity check sorts a copy of it; the 42 MiB file
+    # adds nothing to that
     TABLE_20 = 8 << 20
 
     def test_construct_command(self, tmp_path, capsys):
         path = tmp_path / "g20.tt"
         argv = ["construct", "diffusive", "--n", "20", "--out", str(path)]
-        with peak_below(3 * self.TABLE_20 + 2 * MB):
+        with peak_below(self.TABLE_20 + 2 * MB):
             assert main(argv) == 0
         assert path.read_bytes() == table_bytes(g_table(20))
 
