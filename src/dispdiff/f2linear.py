@@ -11,7 +11,7 @@ from __future__ import annotations
 import importlib.util
 import io
 import sys
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 from .bitword import MAX_WIDTH, BitWord, Record
 
@@ -129,6 +129,11 @@ class TruthTableMap(Record):
         return same and self.output_dim == other.output_dim
 
     def is_injective(self) -> bool:
+        if self.output_dim <= self.input_dim + 3:
+            # a byte per output word is at most the table's bytes: no sort
+            seen = np.zeros(1 << self.output_dim, dtype=bool)
+            seen[self.values] = True
+            return int(np.count_nonzero(seen)) == len(self.values)
         # a repeated value shows as equal sorted neighbours; comparing them
         # makes a bool array, where np.diff made a uint64 one
         s = np.sort(self.values)
@@ -233,8 +238,8 @@ def _parse_generator_matrix(fh: BinaryIO, n: int, m: int, rows: int) -> LinearMa
 def serialize_truth_table(map_: TruthTableMap, fh: BinaryIO) -> None:
     """Write the canonical table file to the binary file object fh: "n m"
     then one "input output" line per entry. Each block of lines is filled
-    in one reused uint8 array, a digit column at a time for every line of
-    the block, so no Python loop runs per line."""
+    in one reused uint8 array, a whole field at a time for every line of
+    the block, so no Python loop runs per line or per digit."""
     n, m = map_.input_dim, map_.output_dim
     size = len(map_.values)
     fh.write(f"{n} {m}\n".encode())
@@ -254,10 +259,13 @@ def _parse_truth_table(fh: BinaryIO, n: int, m: int, entries: int) -> TruthTable
     more, a block at a time.
 
     The cap and the entry count are checked first, so the table is
-    allocated only for a file with one line per entry. Each block is then checked
-    as columns of one uint8 array; the first line that is not canonical,
-    if any, goes to ``_check_table_line``, which formats the same message
-    the per-line reading would raise first.
+    allocated only for a file with one line per entry. Each block is then
+    checked whole, as columns of one uint8 array: its inputs against the
+    digits the writer makes for them, its outputs for bytes other than
+    '0' and '1', and its space and newline columns. Only a block that
+    fails is checked per line, and its first line that is not canonical
+    goes to ``_check_table_line``, which formats the same message the
+    per-line reading would raise first.
     """
     size = table_size(n)
     if entries != size:
@@ -269,6 +277,7 @@ def _parse_truth_table(fh: BinaryIO, n: int, m: int, entries: int) -> TruthTable
     fit = min(size, (fh.seek(0, io.SEEK_END) - start) // width)
     values = np.empty(fit, dtype=np.uint64)
     buf = np.empty((min(fit, _BLOCK_ROWS), width), dtype=np.uint8)
+    inputs = np.empty((len(buf), n), dtype=np.uint8)
     fh.seek(start)
     bad_line = fit  # bad unless fit == size
     for lo in range(0, fit, _BLOCK_ROWS):
@@ -276,15 +285,13 @@ def _parse_truth_table(fh: BinaryIO, n: int, m: int, entries: int) -> TruthTable
         if fh.readinto(block) != block.nbytes:
             raise ValueError("map file changed while it was read")
         hi = lo + len(block)
-        bad = np.zeros(len(block), dtype=bool)
-        inputs = _read_bits(block[:, :n], bad)
-        bad |= inputs != np.arange(lo, hi, dtype=np.uint64)
-        bad |= block[:, n] != ord(" ")
-        values[lo:hi] = _read_bits(block[:, n + 1 : -1], bad)
-        bad |= block[:, -1] != ord("\n")
-        if bad.any():
-            bad_line = lo + int(np.argmax(bad))
+        expected = inputs[: len(block)]
+        _write_bits(expected, np.arange(lo, hi, dtype=np.uint64))
+        if not all(ok.all() for ok in _line_checks(block, expected)):
+            canonical = [ok.all(axis=1) for ok in _line_checks(block, expected)]
+            bad_line = lo + int(np.argmin(np.logical_and.reduce(canonical)))
             break
+        values[lo:hi] = _read_bits(block[:, n + 1 : -1])
     if bad_line < size:
         fh.seek(start + bad_line * width)
         line = _readline(fh, bad_line + 2)[:-1].decode()
@@ -293,30 +300,52 @@ def _parse_truth_table(fh: BinaryIO, n: int, m: int, entries: int) -> TruthTable
     return TruthTableMap._adopt(n, m, values)
 
 
-# lines per block of the array passes: one block's columns stay in cache
-# while each is read or written in turn (at n = 20 on 2 vCPUs, 2^14 beat
-# 2^12 and 2^16, and one pass per column over the whole table was 2-3
-# times slower)
-_BLOCK_ROWS = 1 << 14
+# lines per block of the array passes: one block and its whole-field
+# temporaries stay in cache (at n = 16 and 18 on 2 vCPUs, 2^13 parsed as
+# fast as 2^12 and faster than 2^14, and its parse of g16 peaked at 1.2
+# MB over 1.9 MB at 2^14)
+_BLOCK_ROWS = 1 << 13
+
+
+def _line_checks(block: np.ndarray, inputs: np.ndarray) -> Iterator[np.ndarray]:
+    """Each check on a block of table lines whose input fields should be
+    the digits `inputs`, as a (rows, columns) array of the bytes that pass
+    it, made one at a time: '0' and '1' are the two bytes b with
+    b | 1 == '1'."""
+    n = inputs.shape[1]
+    yield block[:, :n] == inputs
+    yield block[:, n : n + 1] == ord(" ")
+    yield (block[:, n + 1 : -1] | 1) == ord("1")
+    yield block[:, -1:] == ord("\n")
 
 
 def _write_bits(columns: np.ndarray, values: np.ndarray) -> None:
-    """Write values as '0'/'1' digits, most significant first, one column
-    of the uint8 array at a time."""
-    for col, shift in enumerate(range(columns.shape[1] - 1, -1, -1)):
-        columns[:, col] = (values >> np.uint64(shift)) & np.uint64(1)
-    columns += ord("0")
+    """Write values as '0'/'1' digits, most significant first, into the
+    uint8 array's columns: the big-endian bytes that hold the field,
+    unpacked at once, made digits in place and copied."""
+    width = columns.shape[1]
+    nbytes = (width + 7) // 8
+    octets = values.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :]
+    digits = np.unpackbits(octets, axis=1)
+    digits |= ord("0")  # an add into the strided columns took twice as long
+    columns[...] = digits[:, 8 * nbytes - width :]
 
 
-def _read_bits(columns: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """The inverse of _write_bits by shift-accumulate; a row holding a
-    byte other than '0' or '1' is marked in bad."""
-    values = np.zeros(len(columns), dtype=np.uint64)
-    for col in range(columns.shape[1]):
-        digit = columns[:, col] - np.uint8(ord("0"))
-        bad |= digit > 1
-        values <<= np.uint64(1)
-        values |= digit
+def _read_bits(columns: np.ndarray) -> np.ndarray:
+    """The inverse of _write_bits on columns of '0'/'1' digits, 8 digits
+    to a word: the field, left-padded to whole words, is read as uint64s
+    whose byte k holds digit k in bit 0, and one multiply gathers those 8
+    bits, digit 0 highest, into the top byte."""
+    words = -(-columns.shape[1] // 8)
+    padded = np.zeros((len(columns), 8 * words), dtype=np.uint8)
+    padded[:, padded.shape[1] - columns.shape[1] :] = columns
+    chunks = padded.view("<u8") & np.uint64(0x0101010101010101)
+    chunks *= np.uint64(0x8040201008040201)
+    chunks >>= np.uint64(56)
+    values = chunks[:, 0]
+    for j in range(1, words):
+        values <<= np.uint64(8)
+        values |= chunks[:, j]
     return values
 
 

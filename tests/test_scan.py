@@ -1,9 +1,11 @@
 """Differential tests of the pair scans against the string oracle, with
 the pattern list split over up to four workers."""
 
+import random
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from dispdiff import _scan
 from dispdiff.bitword import diff_patterns
 
 import naive
+from peakmem import peak_below
 
 
 @st.composite
@@ -100,9 +103,66 @@ def test_scan_below_the_floor_runs_as_one_chunk():
 
 
 def test_workers_each_get_the_floor_of_pairs():
-    # 136 patterns of 2^15 pairs: 4456448, between one and two floors
-    pairs = 136 << 15
+    # 171 patterns of 2^17 pairs: 22413312, between one and two floors
+    pairs = 171 << 17
     assert pairs // _scan.MIN_PAIRS_PER_WORKER == 1
-    assert _workers(16, 2) == [1, 1]
+    assert _workers(18, 2) == [1, 1]
     with mock.patch.object(_scan, "MIN_PAIRS_PER_WORKER", pairs // 3):
-        assert _workers(16, 2) == [3, 3]
+        assert _workers(18, 2) == [3, 3]
+
+
+def _random_table(n: int, m: int) -> TruthTableMap:
+    rng = random.Random(n * 100 + m)
+    values = [rng.getrandbits(m) for _ in range(1 << n)]
+    return TruthTableMap(n, m, np.array(values, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 2, 63, 64])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_plane_sums_match_oracle_at_any_worker_count(n, m):
+    # tables shorter and longer than one 64-entry word, and widths of one
+    # plane group (m <= 24) and of three; the oracle's cost bounds k for
+    # the widest tables, which are past a word and in-word swaps at k <= 3
+    table = _random_table(n, m)
+    as_dict = {
+        format(j, f"0{n}b"): format(v, f"0{m}b")
+        for j, v in enumerate(table.values.tolist())
+    }
+    ks = range(1, n + 1) if n <= 6 or m <= 2 else range(1, 4)
+    for k in ks:
+        expected = naive.diffusion_sums(as_dict, n, k)
+        patterns = list(diff_patterns(n, k))
+        for threads in range(1, 5):
+            with mock.patch.object(_scan.os, "cpu_count", return_value=4), \
+                    mock.patch.object(_scan, "MIN_PAIRS_PER_WORKER", 1):
+                sums = _scan.bit_sums(table.values, m, patterns, threads)
+            assert sums == expected, (k, threads)
+
+
+@pytest.mark.parametrize("m", [1, 8, 24, 25, 64])
+@pytest.mark.parametrize("n", [1, 3, 6, 7, 9])
+def test_planes_hold_bit_i_of_entry_x_at_bit_x_of_row_i(n, m):
+    values = _random_table(n, m).values.tolist()
+    groups = -(-m // _scan._GROUP_ROWS)
+    bounds = [m * g // groups for g in range(groups + 1)]
+    for first, last in zip(bounds, bounds[1:]):
+        planes = _scan._planes(np.array(values, dtype=np.uint64), m, first, last)
+        assert planes.shape == (last - first, max(1, (1 << n) // 64))
+        for i, row in enumerate(planes.tolist()):
+            bits = sum(w << (64 * j) for j, w in enumerate(row))
+            bit = m - 1 - first - i  # output bit first + 1 + i
+            assert bits == sum((v >> bit & 1) << x for x, v in enumerate(values))
+
+
+# tracemalloc peaks of the per-bit count that the plane kernel replaced
+# (numpy 2.4): at each, the pair differences and one masked copy of them
+@pytest.mark.parametrize(
+    "n, m, k, parent_peak",
+    [(16, 64, 1, 559448), (16, 64, 2, 819544), (18, 18, 1, 2110176)],
+    ids=["n16-m64-k1", "n16-m64-k2", "g18-k1"],
+)
+def test_bit_sums_peaks_below_the_per_bit_count(n, m, k, parent_peak):
+    values = (g_table(n) if m == n else _random_table(n, m)).values
+    patterns = list(diff_patterns(n, k))
+    with peak_below(parent_peak):
+        _scan.bit_sums(values, m, patterns)

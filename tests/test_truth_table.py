@@ -148,6 +148,26 @@ class TestArrayPaths:
             for j, v in enumerate(table.values.tolist())
         ]
 
+    @pytest.mark.parametrize("repeat", [False, True])
+    @pytest.mark.parametrize("extra", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_is_injective_matches_a_set_of_the_values(self, n, extra, repeat):
+        # m <= n + 3 marks a 2^m-entry bitmap and sorts nothing; m = n + 4
+        # sorts the values
+        m = n + extra
+        rng = random.Random(n * 10 + extra)
+        values = rng.sample(range(1 << m), 1 << n)
+        if repeat:
+            values[-1] = values[0]
+        table = TruthTableMap(n, m, np.array(values, dtype=np.uint64))
+        sort = np.sort
+        sorts = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "sort", lambda a: sorts.append(a) or sort(a))
+            injective = table.is_injective()
+        assert injective is (len(set(values)) == len(values))
+        assert len(sorts) == (extra == 4)
+
     @given(tables_st, st.data())
     def test_extend_output_matches_entry_formula(self, table, data):
         m = table.output_dim
