@@ -150,7 +150,10 @@ def extend_output(map_: TruthTableMap, extra: int) -> TruthTableMap:
         raise ValueError(f"extended width {m + extra} exceeds cap {MAX_WIDTH}")
     v = map_.values
     ones = np.uint64((1 << extra) - 1)
-    new = (v << np.uint64(extra)) | (ones * (v >> np.uint64(m - 1)))
+    # one fresh array and one temporary for the shifted table
+    new = v >> np.uint64(m - 1)
+    new *= ones
+    new |= v << np.uint64(extra)
     return TruthTableMap._adopt(map_.input_dim, m + extra, new)
 
 

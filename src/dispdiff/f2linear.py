@@ -198,7 +198,7 @@ def tabulate(map_: LinearMap) -> TruthTableMap:
     # entry j XORs in generator i iff bit n-1-i of j is set, as in lookup()
     half = 1
     for g in reversed(map_.generators):
-        values[half : 2 * half] = values[:half] ^ np.uint64(g)
+        np.bitwise_xor(values[:half], np.uint64(g), out=values[half : 2 * half])
         half *= 2
     return TruthTableMap._adopt(n, m, values)
 
@@ -213,9 +213,10 @@ def tabulate(map_: LinearMap) -> TruthTableMap:
 # pure ASCII and holds no \r) is read as bytes in two passes: the first
 # counts its lines, and the second reads its rows. Any other file is read
 # whole, must be UTF-8, and has each \r\n and lone \r read as \n (neither
-# byte occurs inside a UTF-8 sequence). A table's lines move through one
-# reused buffer of _BLOCK_ROWS lines each way, and any other line is read
-# _LINE_BYTES at most, so no buffer the size of a plain file is ever held.
+# byte occurs inside a UTF-8 sequence). The reader holds the block of
+# _BLOCK_ROWS table lines it reads and the writer's, and accepts a block iff
+# it re-encodes to itself. Any other line is read _LINE_BYTES at most, so
+# no buffer the size of a plain file is ever held.
 
 
 def serialize_generator_matrix(map_: LinearMap) -> bytes:
@@ -237,12 +238,19 @@ def _parse_generator_matrix(fh: BinaryIO, n: int, m: int, rows: int) -> LinearMa
 
 def serialize_truth_table(map_: TruthTableMap, fh: BinaryIO) -> None:
     """Write the canonical table file to the binary file object fh: "n m"
-    then one "input output" line per entry. Each block of lines is filled
-    in one reused uint8 array, a whole field at a time for every line of
-    the block, so no Python loop runs per line or per digit."""
+    then one "input output" line per entry, a block at a time."""
     n, m = map_.input_dim, map_.output_dim
-    size = len(map_.values)
     fh.write(f"{n} {m}\n".encode())
+    for block in _table_lines(n, m, map_.values):
+        fh.write(block)
+
+
+def _table_lines(n: int, m: int, values: np.ndarray) -> Iterator[np.ndarray]:
+    """The table's canonical lines, the one definition of them: each block
+    of _BLOCK_ROWS in turn, filled in one reused uint8 array a whole field
+    at a time. values[lo:hi] is read only as its block is filled, so a
+    reader may fill it just before."""
+    size = len(values)
     buf = np.empty((min(size, _BLOCK_ROWS), n + m + 2), dtype=np.uint8)
     buf[:, n] = ord(" ")
     buf[:, -1] = ord("\n")
@@ -250,8 +258,8 @@ def serialize_truth_table(map_: TruthTableMap, fh: BinaryIO) -> None:
         block = buf[: size - lo]
         hi = lo + len(block)
         _write_bits(block[:, :n], np.arange(lo, hi, dtype=np.uint64))
-        _write_bits(block[:, n + 1 : -1], map_.values[lo:hi])
-        fh.write(block)
+        _write_bits(block[:, n + 1 : -1], values[lo:hi])
+        yield block
 
 
 def _parse_truth_table(fh: BinaryIO, n: int, m: int, entries: int) -> TruthTableMap:
@@ -259,11 +267,10 @@ def _parse_truth_table(fh: BinaryIO, n: int, m: int, entries: int) -> TruthTable
     more, a block at a time.
 
     The cap and the entry count are checked first, so the table is
-    allocated only for a file with one line per entry. Each block is then
-    checked whole, as columns of one uint8 array: its inputs against the
-    digits the writer makes for them, its outputs for bytes other than
-    '0' and '1', and its space and newline columns. Only a block that
-    fails is checked per line, and its first line that is not canonical
+    allocated only for a file with one line per entry. Each block's
+    outputs are then read from bit 0 of their digits, and the block is
+    accepted iff it equals the lines ``_table_lines`` writes for them, so
+    only '0' and '1' re-encode to themselves. The first line that differs
     goes to ``_check_table_line``, which formats the same message the
     per-line reading would raise first.
     """
@@ -273,25 +280,22 @@ def _parse_truth_table(fh: BinaryIO, n: int, m: int, entries: int) -> TruthTable
     start = fh.tell()
     width = n + m + 2
     # lines before the first one of the wrong length sit at multiples of
-    # width; that line itself fails the column checks or starts row `fit`
+    # width; that line itself differs from its re-encoding or starts row `fit`
     fit = min(size, (fh.seek(0, io.SEEK_END) - start) // width)
     values = np.empty(fit, dtype=np.uint64)
     buf = np.empty((min(fit, _BLOCK_ROWS), width), dtype=np.uint8)
-    inputs = np.empty((len(buf), n), dtype=np.uint8)
+    lines = _table_lines(n, m, values)
     fh.seek(start)
     bad_line = fit  # bad unless fit == size
     for lo in range(0, fit, _BLOCK_ROWS):
         block = buf[: fit - lo]
         if fh.readinto(block) != block.nbytes:
             raise ValueError("map file changed while it was read")
-        hi = lo + len(block)
-        expected = inputs[: len(block)]
-        _write_bits(expected, np.arange(lo, hi, dtype=np.uint64))
-        if not all(ok.all() for ok in _line_checks(block, expected)):
-            canonical = [ok.all(axis=1) for ok in _line_checks(block, expected)]
-            bad_line = lo + int(np.argmin(np.logical_and.reduce(canonical)))
+        values[lo : lo + len(block)] = _read_bits(block[:, n + 1 : -1])
+        expected = next(lines)
+        if not np.array_equal(block, expected):
+            bad_line = lo + int(np.argmin((block == expected).all(axis=1)))
             break
-        values[lo:hi] = _read_bits(block[:, n + 1 : -1])
     if bad_line < size:
         fh.seek(start + bad_line * width)
         line = _readline(fh, bad_line + 2)[:-1].decode()
@@ -305,18 +309,6 @@ def _parse_truth_table(fh: BinaryIO, n: int, m: int, entries: int) -> TruthTable
 # fast as 2^12 and faster than 2^14, and its parse of g16 peaked at 1.2
 # MB over 1.9 MB at 2^14)
 _BLOCK_ROWS = 1 << 13
-
-
-def _line_checks(block: np.ndarray, inputs: np.ndarray) -> Iterator[np.ndarray]:
-    """Each check on a block of table lines whose input fields should be
-    the digits `inputs`, as a (rows, columns) array of the bytes that pass
-    it, made one at a time: '0' and '1' are the two bytes b with
-    b | 1 == '1'."""
-    n = inputs.shape[1]
-    yield block[:, :n] == inputs
-    yield block[:, n : n + 1] == ord(" ")
-    yield (block[:, n + 1 : -1] | 1) == ord("1")
-    yield block[:, -1:] == ord("\n")
 
 
 def _write_bits(columns: np.ndarray, values: np.ndarray) -> None:
@@ -339,7 +331,8 @@ def _read_bits(columns: np.ndarray) -> np.ndarray:
     words = -(-columns.shape[1] // 8)
     padded = np.zeros((len(columns), 8 * words), dtype=np.uint8)
     padded[:, padded.shape[1] - columns.shape[1] :] = columns
-    chunks = padded.view("<u8") & np.uint64(0x0101010101010101)
+    chunks = padded.view("<u8")  # worked in place: no second field-sized array
+    chunks &= np.uint64(0x0101010101010101)
     chunks *= np.uint64(0x8040201008040201)
     chunks >>= np.uint64(56)
     values = chunks[:, 0]

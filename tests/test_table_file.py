@@ -160,6 +160,20 @@ def test_malformed_files_fail_as_the_per_line_reader_does(text):
         assert _outcome(_parse, text) == expected
 
 
+def test_every_position_fails_as_the_per_line_reader_does():
+    # the hypothesis test samples this; here each substitute at each byte
+    # after the header of a table read in four blocks, the last one short
+    text = table_bytes(g_table(4)).decode()
+    start = len("4 4\n")
+    for at in range(start, len(text)):
+        for char in SUBSTITUTES:
+            bad = text[:at] + char + text[at + 1 :]
+            expected = _outcome(naive.parse_map, _as_read(bad))
+            with small_blocks(5), checked_lines() as seen:
+                assert _outcome(_parse, bad) == expected
+            assert len(seen) <= 1
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -373,8 +387,9 @@ def test_fifo_table_verifies_as_its_file(tmp_path, capsys):
 
 
 class TestPeakMemory:
-    """No buffer the size of the file is held: writing and parsing move
-    its lines through one block, and the CLI holds the table it builds or
+    """No buffer the size of the file is held: writing moves its lines
+    through one block, parsing through the block it reads and the one the
+    writer makes to compare it with, and the CLI holds the table it builds or
     reads, not the file. An n = 16 file is 2.1 MiB and its table 0.5 MiB;
     an n = 20 file is 42 MiB and its table 8 MiB."""
 

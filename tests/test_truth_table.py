@@ -71,12 +71,19 @@ class TestConstruction:
         assert source.flags.writeable
 
     def test_builders_adopt_their_array(self):
-        # tabulate fills one 8 MiB table and a half-table temporary; a
-        # copy into the map would be a second table
+        # tabulate writes each doubling into the one 8 MiB table it fills;
+        # a half-table temporary or a copy into the map would show here
         mp = build_dispersive(20)
-        with peak_below(3 * TABLE_20 // 2 + MB):
+        with peak_below(TABLE_20 + MB):
             table = tabulate(mp)
         assert table.values.base is None and not table.values.flags.writeable
+
+    def test_extend_output_holds_two_tables(self):
+        # the result and one shifted temporary; the input is not traced
+        table = g_table(20)
+        with peak_below(2 * TABLE_20 + MB):
+            wide = extend_output(table, 5)
+        assert wide.values.base is None and wide.output_dim == 25
 
     def test_injectivity_needs_one_sorted_copy(self):
         # the sorted copy and a bool per neighbour pair, not a uint64 step
