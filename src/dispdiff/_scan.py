@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Sequence, TypeVar
 
+from . import f2linear
 from .f2linear import TruthTableMap, np
 
 T = TypeVar("T")
@@ -99,10 +100,6 @@ def _map_patterns(
 # tables that a per-bit count of the pair differences held.
 _GROUP_ROWS = 24
 
-# entries per block while the planes are built: a block's bytes stay in
-# cache while they are transposed
-_PLANE_BLOCK = 1 << 15
-
 # _SWAP_MASKS[s] has the bits of a word whose index has bit s clear
 _SWAP_MASKS = [
     0x5555555555555555,
@@ -149,9 +146,10 @@ def _planes(values: np.ndarray, m: int, first: int, last: int) -> np.ndarray:
     skip = low // 8
     nbytes = (high + 7) // 8 - skip
     rows = np.empty((last - first, len(values) // 8), dtype=np.uint8)
-    # a block holds three copies of nbytes <= 4 bytes per entry: with an
-    # eighth of the entries, 3/16 of the table's bytes at most
-    step = max(64, min(_PLANE_BLOCK, len(values) // 8))
+    # whole 64-entry words; a block holds three copies of nbytes <= 4
+    # bytes per entry: with an eighth of the entries, 3/16 of the table's
+    # bytes at most
+    step = max(64, min(f2linear._BLOCK_ROWS, len(values) // 8) // 64 * 64)
     for lo in range(0, len(values), step):
         block = values[lo : lo + step].astype("<u8", copy=False)
         octets = block.view(np.uint8).reshape(-1, 8)[:, skip : skip + nbytes]
@@ -201,25 +199,6 @@ def _plane_counts(planes: np.ndarray, d: int) -> np.ndarray:
     return np.bitwise_count(moved).reshape(len(planes), -1).sum(axis=1)
 
 
-def _group_sums(
-    values: np.ndarray,
-    m: int,
-    first: int,
-    last: int,
-    patterns: Sequence[int],
-    threads: int,
-) -> list[int]:
-    """bit_sums for output bits first + 1..last alone."""
-    planes = _planes(values, m, first, last)
-    total = np.zeros(last - first, dtype=np.uint64)
-    counts = _map_patterns(
-        lambda d: _plane_counts(planes, d), len(values), patterns, threads
-    )
-    for per_pattern in counts:
-        total += per_pattern
-    return total.tolist()
-
-
 def bit_sums(
     values: np.ndarray,
     m: int,
@@ -236,7 +215,13 @@ def bit_sums(
     bounds = [m * g // groups for g in range(groups + 1)]
     sums = []
     for first, last in zip(bounds, bounds[1:]):
-        sums += _group_sums(values, m, first, last, patterns, threads)
+        planes = _planes(values, m, first, last)
+        total = np.zeros(last - first, dtype=np.uint64)
+        for counts in _map_patterns(
+            lambda d: _plane_counts(planes, d), len(values), patterns, threads
+        ):
+            total += counts
+        sums += total.tolist()
     return sums
 
 

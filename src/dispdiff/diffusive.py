@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from . import _scan
+from . import _scan, f2linear
 from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, Record
 from .bitword import diff_patterns, pair_count, pair_space
 from .f2linear import LinearMap, TruthTableMap, np, table_size, transpose
@@ -61,10 +61,6 @@ def _g_words(n: int, x: np.ndarray) -> np.ndarray:
     return x
 
 
-# entries per block of g_table (at n = 18, 2^14 took 7.6 ms and 2^13 8.3)
-_G_BLOCK = 1 << 14
-
-
 def g_table(n: int) -> TruthTableMap:
     """Materialize the full permutation table for bulk verification."""
     if n < 2:
@@ -72,8 +68,9 @@ def g_table(n: int) -> TruthTableMap:
     # filled a block at a time: each x ^= x << shift step makes a
     # block-sized temporary, not a table-sized one
     values = np.empty(table_size(n), dtype=np.uint64)
-    for lo in range(0, len(values), _G_BLOCK):
-        hi = min(lo + _G_BLOCK, len(values))
+    step = f2linear._BLOCK_ROWS
+    for lo in range(0, len(values), step):
+        hi = min(lo + step, len(values))
         values[lo:hi] = _g_words(n, np.arange(lo, hi, dtype=np.uint64))
     return TruthTableMap._adopt(n, n, values)
 
@@ -150,10 +147,15 @@ def extend_output(map_: TruthTableMap, extra: int) -> TruthTableMap:
         raise ValueError(f"extended width {m + extra} exceeds cap {MAX_WIDTH}")
     v = map_.values
     ones = np.uint64((1 << extra) - 1)
-    # one fresh array and one temporary for the shifted table
-    new = v >> np.uint64(m - 1)
-    new *= ones
-    new |= v << np.uint64(extra)
+    # one fresh array, filled a block at a time: the shifted block is the
+    # only temporary
+    new = np.empty_like(v)
+    step = f2linear._BLOCK_ROWS
+    for lo in range(0, len(v), step):
+        blk, dst = v[lo : lo + step], new[lo : lo + step]
+        np.right_shift(blk, np.uint64(m - 1), out=dst)
+        dst *= ones
+        dst |= blk << np.uint64(extra)
     return TruthTableMap._adopt(map_.input_dim, m + extra, new)
 
 

@@ -304,10 +304,12 @@ def _parse_truth_table(fh: BinaryIO, n: int, m: int, entries: int) -> TruthTable
     return TruthTableMap._adopt(n, m, values)
 
 
-# lines per block of the array passes: one block and its whole-field
-# temporaries stay in cache (at n = 16 and 18 on 2 vCPUs, 2^13 parsed as
-# fast as 2^12 and faster than 2^14, and its parse of g16 peaked at 1.2
-# MB over 1.9 MB at 2^14)
+# entries per block of every loop over a table: the lines the codec
+# writes and reads, g_table, extend_output and the bit planes of _scan.
+# One block and its temporaries stay in cache (at n = 16 and 18 on 2
+# vCPUs, 2^13 parsed as fast as 2^12 and faster than 2^14, and its parse
+# of g16 peaked at 1.2 MB over 1.9 MB at 2^14). Other modules read it as
+# f2linear._BLOCK_ROWS when a loop starts, so a patched value reaches all.
 _BLOCK_ROWS = 1 << 13
 
 

@@ -24,7 +24,7 @@ from dispdiff.diffusive import _g_words
 
 import naive
 from peakmem import peak_below
-from tablebytes import table_bytes
+from tablebytes import small_blocks, table_bytes
 
 G3_GOLDEN = ["000", "001", "110", "111", "010", "100", "011", "101"]
 # sha256 of the n=18 table file, as pinned by perfbench/workloads.py
@@ -98,6 +98,13 @@ class TestGTable:
     def test_matches_string_oracle(self, n):
         expected = [int(naive.g(s), 2) for s in naive.words(n)]
         assert g_table(n).values.tolist() == expected
+
+    @pytest.mark.parametrize("rows", [3, 97])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_string_oracle_at_odd_block_sizes(self, n, rows):
+        expected = [int(naive.g(s), 2) for s in naive.words(n)]
+        with small_blocks(rows):
+            assert g_table(n).values.tolist() == expected
 
     def test_n18_file_hash(self):
         data = table_bytes(g_table(18))

@@ -15,6 +15,7 @@ from dispdiff.bitword import diff_patterns
 
 import naive
 from peakmem import peak_below
+from tablebytes import small_blocks
 
 
 @st.composite
@@ -152,6 +153,33 @@ def test_planes_hold_bit_i_of_entry_x_at_bit_x_of_row_i(n, m):
             bits = sum(w << (64 * j) for j, w in enumerate(row))
             bit = m - 1 - first - i  # output bit first + 1 + i
             assert bits == sum((v >> bit & 1) << x for x, v in enumerate(values))
+
+
+def test_plane_sums_match_oracle_at_odd_block_sizes():
+    # three plane groups, each built from blocks of one 64-entry word
+    n, m = 10, 64
+    table = _random_table(n, m)
+    as_dict = {
+        format(j, f"0{n}b"): format(v, f"0{m}b")
+        for j, v in enumerate(table.values.tolist())
+    }
+    for k in (1, 2):
+        expected = naive.diffusion_sums(as_dict, n, k)
+        patterns = list(diff_patterns(n, k))
+        for rows in (3, 97):
+            with small_blocks(rows):
+                assert _scan.bit_sums(table.values, m, patterns) == expected
+
+
+@pytest.mark.parametrize("rows", [3, 97, 200, 1 << 20])
+def test_planes_match_at_any_block_size(rows):
+    # 200 rows step three words at a time: 2^11 entries end in a short block
+    values = _random_table(11, 64).values
+    for first, last in [(0, 21), (21, 42), (42, 64)]:
+        expected = _scan._planes(values, 64, first, last)
+        with small_blocks(rows):
+            planes = _scan._planes(values, 64, first, last)
+        assert np.array_equal(planes, expected)
 
 
 # tracemalloc peaks of the per-bit count that the plane kernel replaced

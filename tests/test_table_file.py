@@ -10,7 +10,6 @@ import os
 import random
 import threading
 from contextlib import contextmanager
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from dispdiff import (
 from dispdiff import f2linear
 from dispdiff.cli import main
 from peakmem import MB, peak_below
-from tablebytes import table_bytes
+from tablebytes import small_blocks, table_bytes
 
 
 def _random_table(rng: random.Random, n: int, m: int) -> TruthTableMap:
@@ -66,14 +65,6 @@ def _outcome(parse, file):
     if isinstance(parsed, LinearMap):
         return parsed.input_dim, parsed.output_dim, list(parsed.generators)
     return parsed
-
-
-@contextmanager
-def small_blocks(rows: int):
-    """rows lines a block, so that the small tables here span several
-    blocks and end in a short one."""
-    with mock.patch.object(f2linear, "_BLOCK_ROWS", rows):
-        yield
 
 
 @contextmanager

@@ -23,7 +23,7 @@ from dispdiff import (
 )
 from dispdiff import diffusive
 from peakmem import MB, peak_below
-from tablebytes import table_bytes
+from tablebytes import small_blocks, table_bytes
 
 TABLE_20 = 8 << 20  # bytes of a 2^20-entry uint64 table
 
@@ -78,12 +78,21 @@ class TestConstruction:
             table = tabulate(mp)
         assert table.values.base is None and not table.values.flags.writeable
 
-    def test_extend_output_holds_two_tables(self):
-        # the result and one shifted temporary; the input is not traced
+    def test_extend_output_holds_one_table(self):
+        # the result, filled a block at a time; the input is not traced
         table = g_table(20)
-        with peak_below(2 * TABLE_20 + MB):
+        with peak_below(TABLE_20 + MB):
             wide = extend_output(table, 5)
         assert wide.values.base is None and wide.output_dim == 25
+
+    @pytest.mark.parametrize("rows", [3, 97])
+    def test_extend_output_at_odd_block_sizes(self, rows):
+        rng = random.Random(rows)
+        values = [rng.getrandbits(40) for _ in range(1 << 10)]
+        table = TruthTableMap(10, 40, np.array(values, dtype=np.uint64))
+        expected = extend_output(table, 24)
+        with small_blocks(rows):
+            assert extend_output(table, 24) == expected
 
     def test_injectivity_needs_one_sorted_copy(self):
         # the sorted copy and a bool per neighbour pair, not a uint64 step
