@@ -4,10 +4,11 @@ Every unordered pair at distance 1..k is {x, x ^ d} for an XOR pattern d
 with top bit t, counted once at the x whose bit t is 0.  Those x are the
 first half of each 2^(t+1)-entry block of the table and their partners
 the second half, permuted within the block by d's lower bits, so
-`_pair_diffs` reads a pattern's pairs from two views of the table with no
-x-index array.  `bit_sums` reads them the same way from the table's bit
-planes, 64 entries to a word, so one pass per pattern counts every pair
-of a word at once.  All accumulation is exact integer arithmetic.
+`_halves` reads a pattern's pairs from a view of the table and a gather
+of its partners, with no x-index array.  `bit_sums` reads them through
+`_halves` too, from the table's bit planes, 64 entries to a word, so one
+pass per pattern counts every pair of a word at once.  All accumulation
+is exact integer arithmetic.
 
 Workers split the pattern list into contiguous runs and scan each pattern
 whole. Results come back per pattern in pattern order: the bit counts add
@@ -55,16 +56,19 @@ def chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
 MIN_PAIRS_PER_WORKER = 1 << 24
 
 
-def _pair_diffs(values: np.ndarray, d: int) -> np.ndarray:
-    """values[x] ^ values[x ^ d] for each x whose bit at d's top position
-    t is 0, ascending: entry i belongs to x = i + (i >> t << t)."""
+def _halves(a: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(own, partners): the entries x along a's last axis whose bit at d's
+    top position t is 0, and x ^ d for each in the same place, both of
+    shape a.shape[:-1] + (blocks, 2^t). Over the last two axes entry i
+    belongs to x = i + (i >> t << t). own is a view of a, and so is
+    partners when d = 2^t; otherwise partners is a fresh gather."""
     t = d.bit_length() - 1
-    blocks = values.reshape(-1, 2, 1 << t)
-    partners = blocks[:, 1, :]
+    blocks = a.reshape(*a.shape[:-1], -1, 2, 1 << t)
+    own, partners = blocks[..., 0, :], blocks[..., 1, :]
     low = d ^ (1 << t)
     if low:
-        partners = partners[:, np.arange(1 << t) ^ low]
-    return (blocks[:, 0, :] ^ partners).ravel()
+        partners = partners[..., np.arange(1 << t) ^ low]
+    return own, partners
 
 
 def _map_patterns(
@@ -175,27 +179,22 @@ def _plane_counts(planes: np.ndarray, d: int) -> np.ndarray:
     """Per-plane-row count of the pairs {x, x ^ d}, x with d's top bit t
     clear, whose bits differ. Below t = 6 a pair shares its word, and
     shifting the word right by 2^t brings x ^ 2^t to x; above, word j
-    with bit t - 6 clear pairs with word j ^ (d >> 6), read from two
-    views of the planes as `_pair_diffs` reads the table. The in-word
-    swaps then move the rest of d into place."""
+    with bit t - 6 clear pairs with word j ^ (d >> 6), read by `_halves`.
+    The in-word swaps then move the rest of d into place, on a copy of
+    x's own words: a permutation within a word keeps its popcount."""
     t = d.bit_length() - 1
     if t < 6:
         moved = planes >> np.uint64(1 << t)
         _swap_within_words(moved, d ^ 1 << t)
         moved ^= planes
         moved &= np.uint64(_SWAP_MASKS[t])
-    else:
-        top = t - 6
-        blocks = planes.reshape(len(planes), -1, 2, 1 << top)
-        partners = blocks[:, :, 1, :]
-        low = (d >> 6) ^ (1 << top)
-        # a fresh array either way, which the swaps and the XOR reuse
-        if low:
-            moved = partners[:, :, np.arange(1 << top) ^ low]
-        else:
-            moved = partners.copy()
+    elif d & 63:
+        own, partners = _halves(planes, d >> 6)
+        moved = own.copy()
         _swap_within_words(moved, d & 63)
-        moved ^= blocks[:, :, 0, :]
+        moved ^= partners
+    else:
+        moved = np.bitwise_xor(*_halves(planes, d >> 6))
     return np.bitwise_count(moved).reshape(len(planes), -1).sum(axis=1)
 
 
@@ -236,7 +235,8 @@ def first_distance_violation(
 
     def first(d: int) -> tuple[int, int, int] | None:
         # uint8 counts of at most 64, so doubling them cannot wrap
-        dists = np.bitwise_count(_pair_diffs(values, d))
+        own, partners = _halves(values, d)
+        dists = np.bitwise_count((own ^ partners).ravel())
         bad = np.flatnonzero(dists * 2 != m)
         if not bad.size:
             return None

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispdiff import TruthTableMap, g_table, verify_diffusive, verify_dispersive
+from dispdiff import (
+    TruthTableMap,
+    g_table,
+    min_output_dim,
+    search_linear_k_dispersive,
+    tabulate,
+    verify_diffusive,
+    verify_dispersive,
+)
 from dispdiff import _scan
 from dispdiff.bitword import diff_patterns
 
@@ -78,6 +86,52 @@ def test_reports_match_oracle_at_any_worker_count(case):
     if diff is not None:
         assert list(diff.per_bit_sums) == naive.diffusion_sums(as_dict, n, k)
         assert diff.target == len(pairs) // 2
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_dispersion_violations_past_one_word_match_oracle(n):
+    # linear k-dispersive witnesses with one output bit flipped at one or
+    # two entries x >= 64, so a first violation's pattern can have its
+    # top bit above a 64-entry word
+    rng = random.Random(11 * n)
+    for k, m in [(1, min_output_dim(n) + min_output_dim(n) % 2), (2, 12), (3, 24)]:
+        witness = search_linear_k_dispersive(n, k, m).witness
+        values = tabulate(witness).values.copy()
+        for x in rng.sample(range(64, 1 << n), rng.randint(1, 2)):
+            values[x] ^= np.uint64(1 << rng.randrange(m))
+        table = TruthTableMap(n, m, values)
+        as_dict = {
+            format(j, f"0{n}b"): format(v, f"0{m}b")
+            for j, v in enumerate(values.tolist())
+        }
+        pats = list(diff_patterns(n, k))
+        a, b, dist = min(
+            naive.dispersion_violations(as_dict, n, k),
+            key=lambda v: (int(v[0], 2), pats.index(int(v[0], 2) ^ int(v[1], 2))),
+        )
+        for threads in (1, 4):
+            with mock.patch.object(_scan.os, "cpu_count", return_value=4), \
+                    mock.patch.object(_scan, "MIN_PAIRS_PER_WORKER", 1):
+                report = verify_dispersive(table, k, threads=threads)
+            assert not report.passed
+            x, y = report.first_violation
+            assert (str(x), str(y), report.violation_distance) == (a, b, dist)
+
+
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["1-D", "planes"])
+def test_halves_pair_x_with_x_xor_d(shape):
+    rng = np.random.default_rng(7)
+    for length in (1 << e for e in range(1, 10)):
+        a = rng.integers(0, 1 << 63, size=shape + (length,), dtype=np.uint64)
+        i = np.arange(length // 2)
+        for d in range(1, length):
+            t = d.bit_length() - 1
+            x = i + (i >> t << t)
+            own, partners = _scan._halves(a, d)
+            assert np.shares_memory(own, a)
+            assert np.shares_memory(partners, a) == (d == 1 << t)
+            assert np.array_equal(own.reshape(shape + (-1,)), a[..., x])
+            assert np.array_equal(partners.reshape(shape + (-1,)), a[..., x ^ d])
 
 
 def _workers(n: int, k: int) -> list[int]:
