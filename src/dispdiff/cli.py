@@ -6,7 +6,9 @@ exhausted its space without a witness. Identical arguments and input
 files produce byte-identical output, regardless of --threads and of the
 locale: a map file is read by the library's parse_map_file, as bytes
 when it is plain; otherwise it is checked as UTF-8, and each \r\n and
-lone \r in it is read as \n.
+lone \r in it is read as \n. A construct failing at a write or last flush
+exits 1 with one error line and no file at --out; a non-regular --out
+(/dev/full) is kept, and an out-of-memory kill can leave a partial file.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .bitword import DEFAULT_PAIR_BUDGET, BitWord, _check_pairs
 from .dispersive import build_dispersive, format_dispersion_report
@@ -34,6 +35,13 @@ from .f2linear import (
     tabulate,  # unused here; kept because perfbench/tracing.py wraps cli.tabulate
 )
 
+# the maps construct builds, by kind: argparse's choices and the dispatch
+CONSTRUCT_KINDS = {
+    "dispersive": lambda args: build_dispersive(args.n, args.m),
+    "diffusive": lambda args: g_table(args.n),
+    "column-diffusive": lambda args: column_diffusive(args.n),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -44,13 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a map and write it to a file")
-    p.add_argument(
-        "kind", choices=["dispersive", "diffusive", "column-diffusive"]
-    )
+    p.add_argument("kind", choices=CONSTRUCT_KINDS)
     p.add_argument("--n", type=int, required=True, help="input width")
-    p.add_argument(
-        "--m", type=int, default=None, help="output width (dispersive only)"
-    )
+    p.add_argument("--m", type=int, help="output width (dispersive only)")
     p.add_argument("--out", required=True, help="output file path")
     p.set_defaults(func=cmd_construct)
 
@@ -92,23 +96,19 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_construct(args: argparse.Namespace) -> int:
     if args.m is not None and args.kind != "dispersive":
         raise ValueError("--m only applies to dispersive constructions")
-    out = Path(args.out)
-    if args.kind == "diffusive":
-        built = g_table(args.n)
-        with open(out, "wb") as fh:
-            try:
+    built = CONSTRUCT_KINDS[args.kind](args)
+    fh = open(args.out, "wb")
+    try:
+        with fh:
+            if isinstance(built, LinearMap):
+                fh.write(serialize_generator_matrix(built))
+            else:
                 serialize_truth_table(built, fh)
-            except BaseException:
-                # a table file that failed part way is not left behind
-                if out.is_file():
-                    out.unlink()
-                raise
-    else:
-        if args.kind == "dispersive":
-            built = build_dispersive(args.n, args.m)
-        else:
-            built = column_diffusive(args.n)
-        out.write_bytes(serialize_generator_matrix(built))
+    except BaseException:
+        # a write or close that fails leaves no partial file behind
+        if os.path.isfile(args.out):
+            os.remove(args.out)
+        raise
     print(f"m={built.output_dim}")
     return 0
 

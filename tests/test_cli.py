@@ -1,6 +1,9 @@
+import errno
 import inspect
 import io
 import os
+import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -361,6 +364,50 @@ class TestContract:
         argv = ["construct", "diffusive", "--n", "3", "--out", str(out)]
         assert run(capsys, *argv, "--budget", "8")[0] == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a matrix file, and a table that stays buffered until close:
+            # both fail only at the last flush
+            ["dispersive", "--n", "62"],
+            ["column-diffusive", "--n", "62"],
+            ["diffusive", "--n", "8"],
+            # a table larger than the buffer fails inside a write
+            ["diffusive", "--n", "12"],
+        ],
+    )
+    def test_failed_write_leaves_no_file(self, tmp_path, argv):
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+        out = tmp_path / "part"
+        src = str(Path(dispdiff.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "dispdiff.cli", "construct", *argv, "--out", str(out)],
+            capture_output=True, env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=limit_file_size, timeout=60,
+        )
+        stderr = f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+        assert (done.returncode, done.stdout, done.stderr.decode()) == (1, b"", stderr)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["dispersive", "diffusive", "column-diffusive"])
+    def test_refused_open_keeps_the_file(self, tmp_path, capsys, monkeypatch, kind):
+        # the guard starts after open succeeds, so a file open refuses is kept
+        out = tmp_path / "kept"
+        out.write_bytes(b"known bytes\n")
+
+        def refuse(path, *_):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr("dispdiff.cli.open", refuse, raising=False)
+        code, stdout, stderr = run(capsys, "construct", kind, "--n", "4", "--out", str(out))
+        assert code == 1 and stdout == ""
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert out.read_bytes() == b"known bytes\n"
 
     def test_file_roundtrip_byte_identical(self, tmp_path, capsys):
         path = tmp_path / "f7.gm"

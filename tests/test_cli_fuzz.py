@@ -1,5 +1,6 @@
 """Fuzz the CLI over every subcommand: whatever the flags and map files,
-``main`` returns 0, 1 or 2 and never raises.
+``main`` returns 0, 1 or 2 and never raises, and a construct leaves its
+output file exactly when it returns 0.
 
 Legitimate sizes stay small (n <= 10 for construct and verify, n <= 3 and
 widths found by m = 8 for explore) so each example runs well under a
@@ -85,6 +86,10 @@ def corpus_dir(tmp_path_factory):
 def test_exit_status_is_0_1_or_2(corpus_dir, argv):
     resolved = [str(corpus_dir / a[1:]) if a.startswith("@") else a for a in argv]
     try:
-        assert main(resolved) in (0, 1, 2)
+        status = main(resolved)
+        assert status in (0, 1, 2)
+        if argv[0] == "construct":
+            # a construct that fails leaves nothing at --out
+            assert (corpus_dir / OUT).exists() == (status == 0)
     finally:
         (corpus_dir / OUT).unlink(missing_ok=True)

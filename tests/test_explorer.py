@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -557,3 +558,22 @@ MIN_LINEAR_WIDTHS = {
 def test_minimal_linear_widths_are_pinned(n, capsys):
     for k, m in enumerate(MIN_LINEAR_WIDTHS[n], start=1):
         assert _explore(capsys, n, k, m) == (0, f"FOUND m={m}"), (n, k)
+
+
+def test_readme_width_table_is_the_pinned_widths():
+    # the README's table is MIN_LINEAR_WIDTHS, with 2^n at k = n where the
+    # search does not reach it; read as text, so no search is run
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = [line.strip() for line in readme.read_text(encoding="utf-8").splitlines()]
+    start = lines.index("| n | k = 1 | k = 2 | k = 3 | k = 4 | k = 5 |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        n, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        table[int(n)] = [int(cell) for cell in cells if cell]
+    expected = {
+        n: widths if len(widths) == n else widths + [2**n]
+        for n, widths in MIN_LINEAR_WIDTHS.items()
+    }
+    assert table == expected
