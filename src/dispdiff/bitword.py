@@ -143,6 +143,14 @@ def pair_count(n: int, k: int = 1) -> int:
     return (1 << (n - 1)) * sum(math.comb(n, j) for j in range(1, k + 1))
 
 
+def krawtchouk_sum(w: int, n: int, k: int) -> int:
+    """K_{<=k}(w; n) = sum_{j=1..k} K_j(w; n), exact, by the recurrence in j."""
+    ks = [1, n - 2 * w]
+    for j in range(1, k):
+        ks.append(((n - 2 * w) * ks[j] - (n - j + 1) * ks[j - 1]) // (j + 1))
+    return sum(ks[1 : k + 1])
+
+
 def pair_space(n: int, k: int, budget: int) -> int:
     """``pair_count(n, k)`` for a table scan, refused above ``budget``.
     No pattern is listed."""

@@ -14,12 +14,11 @@ bit flips in n * 2^(n-2) of the n * 2^(n-1) pairs, exactly; at distance
 
 from __future__ import annotations
 
-from math import comb
 from typing import NamedTuple
 
 from . import _scan, f2linear
 from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, Record
-from .bitword import diff_patterns, pair_count, pair_space
+from .bitword import diff_patterns, krawtchouk_sum, pair_count, pair_space
 from .f2linear import LinearMap, TruthTableMap, np, table_size, transpose
 from .dispersive import build_dispersive
 
@@ -88,10 +87,11 @@ def verify_diffusive(
     pair count (n * 2^(n-2) for k = 1). All m output bits are checked,
     also when m > n. 1-bit inputs are refused, then a table scan makes
     ``pair_space``'s refusals. A generator matrix gets its table's report
-    from its column weights w: the 2^(n-1) pairs of pattern d flip f(d),
-    in bit b iff d meets column b in an odd number i of places, as
-    C(w, i) * C(n - w, j - i) of the patterns of weight j do. No pattern
-    is listed, and ``budget`` does not apply: at most k^2/4 * m products.
+    from its column weights w: each pattern of weight j flips bit b iff it
+    meets column b oddly, as (C(n, j) - K_j(w; n))/2 of them do (K_j
+    Krawtchouk), so it passes iff injective with every w a root of
+    K_{<=k}(w; n). No pattern is listed, and ``budget`` does not apply:
+    k recurrence steps per column.
     """
     n, m = map_.input_dim, map_.output_dim
     if n < 2:
@@ -99,17 +99,15 @@ def verify_diffusive(
             "no diffusive map exists on 1-bit inputs: the required per-bit "
             "sum n * 2^(n-2) is not an integer"
         )
-    if isinstance(map_, LinearMap):
-        npairs = pair_count(n, k)
-        ij = [(i, j) for j in range(1, k + 1) for i in range(1, j + 1, 2)]
+    linear = isinstance(map_, LinearMap)
+    npairs = pair_count(n, k) if linear else pair_space(n, k, budget)
+    target = npairs // 2
+    if linear:
         weights = [c.bit_count() for c in map_._columns()]
-        odd = [sum(comb(w, i) * comb(n - w, j - i) for i, j in ij) for w in weights]
-        sums = [c << (n - 1) for c in odd]
+        sums = [target - (krawtchouk_sum(w, n, k) << (n - 2)) for w in weights]
     else:
-        npairs = pair_space(n, k, budget)
         values = _scan.table_values(map_)
         sums = _scan.bit_sums(values, m, list(diff_patterns(n, k)), threads=threads)
-    target = npairs // 2
     injective = map_.is_injective()
     passed = injective and all(s == target for s in sums)
     return DiffusionReport(
@@ -124,9 +122,9 @@ def verify_diffusive(
 def column_diffusive(n: int) -> LinearMap:
     """The transposed dispersive generator matrix, which is diffusive.
 
-    Only defined when n is 2 mod 4, the one residue where the minimal
-    dispersive matrix is square. Each column then has weight n/2, so each
-    output bit flips for exactly half the single-bit input changes.
+    Only defined when n is 2 mod 4, where the minimal dispersive matrix is
+    square. Its columns have weight n/2, the one root of K_1(w; n) = n - 2w,
+    so each output bit flips for exactly half the single-bit input changes.
     """
     if n < 2 or n % 4 != 2:
         raise ValueError(

@@ -8,6 +8,7 @@ correct.
 
 from functools import reduce
 from itertools import combinations
+from math import comb
 from operator import xor as xor_int
 
 
@@ -54,6 +55,16 @@ def apply_gens(gens: list[str], x: str) -> str:
     return acc
 
 
+def rows_of_columns(n: int, columns: list[int]) -> list[int]:
+    """The rows of the n-row generator matrix whose column b (output bit
+    2^(m-b)) is columns[b - 1]: row i takes bit 2^(n-i) of each column."""
+    m = len(columns)
+    return [
+        sum((c >> (n - i) & 1) << (m - b) for b, c in enumerate(columns, start=1))
+        for i in range(1, n + 1)
+    ]
+
+
 def tabulate_gens(gens: list[str], n: int) -> dict[str, str]:
     return {x: apply_gens(gens, x) for x in words(n)}
 
@@ -85,6 +96,19 @@ def pattern_image_sums(table: dict[str, str], n: int, k: int) -> list[int]:
             for j in range(m):
                 sums[j] += int(image[j])
     return [s * 2 ** (n - 1) for s in sums]
+
+
+def krawtchouk(j: int, w: int, n: int) -> int:
+    """K_j(w; n), the explicit sum over the i places where a weight-j
+    pattern meets a fixed weight-w word, each counted with sign (-1)^i."""
+    return sum((-1) ** i * comb(w, i) * comb(n - w, j - i) for i in range(j + 1))
+
+
+def krawtchouk_roots(n: int, k: int) -> list[int]:
+    """The weights w in 0..n with sum_{j=1..k} K_j(w; n) = 0: the column
+    weights of a k-diffusive generator matrix."""
+    sums = [sum(krawtchouk(j, w, n) for j in range(1, k + 1)) for w in range(n + 1)]
+    return [w for w, s in enumerate(sums) if s == 0]
 
 
 def dispersion_violations(

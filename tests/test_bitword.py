@@ -1,9 +1,11 @@
+from math import comb
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dispdiff import BitWord, BudgetExceededError, pair_count, semi_weight_generators
-from dispdiff.bitword import diff_patterns, pair_space
+from dispdiff.bitword import diff_patterns, krawtchouk_sum, pair_space
 
 import naive
 from peakmem import peak_below
@@ -121,3 +123,39 @@ class TestPairEnumeration:
         assert [y for x, y in a[:10]] == [
             format(d, "04b") for d in diff_patterns(4, 2)
         ]
+
+
+class TestKrawtchoukSum:
+    """krawtchouk_sum(w, n, k) is K_{<=k}(w; n) = sum_{j=1..k} K_j(w; n)."""
+
+    @pytest.mark.parametrize("n", range(30))
+    def test_matches_the_explicit_sum(self, n):
+        for w in range(n + 1):
+            total = 0
+            for k in range(n + 1):
+                assert krawtchouk_sum(w, n, k) == total
+                total += naive.krawtchouk(k + 1, w, n)
+
+    def test_at_weight_0_it_counts_patterns(self):
+        # K_j(0; n) = C(n, j), so K_{<=k}(0; n) 2^(n-1) is the pair count
+        for n in range(1, 65):
+            for k in range(1, n + 1):
+                assert pair_count(n, k) == krawtchouk_sum(0, n, k) << (n - 1)
+
+    def test_all_degrees_sum_to_a_point_mass(self):
+        # sum_{j=0..n} K_j(w; n) = 2^n [w = 0], and K_0 = 1
+        for n in range(65):
+            for w in range(n + 1):
+                assert krawtchouk_sum(w, n, n) == (1 << n if w == 0 else 0) - 1
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_orthogonality(self, n):
+        # sum_w C(n, w) K_i(w) K_j(w) = 2^n C(n, i) [i = j]
+        def K(j, w):
+            # K_0 = 1; K_j is the difference of two consecutive sums
+            return krawtchouk_sum(w, n, j) - krawtchouk_sum(w, n, j - 1) if j else 1
+
+        for i in range(n + 1):
+            for j in range(n + 1):
+                inner = sum(comb(n, w) * K(i, w) * K(j, w) for w in range(n + 1))
+                assert inner == ((1 << n) * comb(n, i) if i == j else 0)

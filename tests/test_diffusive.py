@@ -205,6 +205,11 @@ class TestVerifyDiffusive:
         assert seen == [2, 2]
 
 
+# the circulant whose rows are the rotations of 11100000: every column has
+# weight 3, and 1 + x + x^2 is prime to (1 + x)^8, so it is injective
+C8 = LinearMap(8, 8, [int(("11100000" * 2)[8 - i : 16 - i], 2) for i in range(8)])
+
+
 class TestNonMonotoneDiffusion:
     """k-diffusion is not monotone in k: a map can pass at one k and fail
     at a smaller and at a larger one."""
@@ -218,6 +223,38 @@ class TestNonMonotoneDiffusion:
             report = verify_diffusive(table, k)
             assert report == verify_diffusive(linear, k)
             assert report.passed == (k == n - 1)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_odd_columns_pass_at_n_minus_1(self, n):
+        # K_{<=n-1}(w; n) = -1 - (-1)^w, so an injective matrix is
+        # (n-1)-diffusive iff every column has odd weight
+        rng = random.Random(n)
+        odd = [v for v in range(1 << n) if v.bit_count() % 2]
+        for _ in range(4):
+            mp = None
+            while mp is None or not mp.is_injective():
+                columns = [rng.choice(odd) for _ in range(rng.randint(n, n + 4))]
+                mp = LinearMap(n, len(columns), naive.rows_of_columns(n, columns))
+            # one column made even by flipping one of its bits, still injective
+            flips = [(b, 1 << t) for b in range(len(columns)) for t in range(n)]
+            rng.shuffle(flips)
+            for b, bit in flips:
+                changed = columns[:b] + [columns[b] ^ bit] + columns[b + 1 :]
+                even = LinearMap(n, len(changed), naive.rows_of_columns(n, changed))
+                if even.is_injective():
+                    break
+            for linear, passes in ((mp, True), (even, False)):
+                report = verify_diffusive(linear, n - 1)
+                assert report == verify_diffusive(tabulate(linear), n - 1)
+                assert report.injective and report.passed == passes
+
+    def test_circulant_passes_at_2_5_and_7(self):
+        # weight 3 is a root of K_{<=k}(w; 8) at k = 2, 5 and 7 only
+        table = tabulate(C8)
+        for k in range(1, 9):
+            report = verify_diffusive(C8, k)
+            assert report == verify_diffusive(table, k)
+            assert report.passed == (k in (2, 5, 7))
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_g_passes_at_1_only(self, n):

@@ -36,18 +36,19 @@ from tablebytes import table_bytes
 def linear_maps(draw):
     """Generator matrices with n in 1..7 and m in 1..10. Rows are free,
     of weight m/2 (or (m +- 1)/2 for odd m), or one row is an XOR of
-    others (possibly zero); or the columns have weight n/2, so the map
-    can be diffusive."""
+    others (possibly zero); or every column weight is within 1 of n/2,
+    or a root of K_{<=k}(w; n) for a drawn k, so the map can be
+    k-diffusive."""
     n = draw(st.integers(1, 7))
     m = draw(st.integers(1, 10))
     kind = draw(st.sampled_from(["free", "semi", "dependent", "columns"]))
     if kind == "columns":
-        cols = [v for v in range(1 << n) if abs(2 * v.bit_count() - n) <= 1]
+        near = [w for w in range(n + 1) if abs(2 * w - n) <= 1]
+        roots = [naive.krawtchouk_roots(n, k) for k in range(1, n + 1)]
+        weights = draw(st.sampled_from([near] + [r for r in roots if r]))
+        cols = [v for v in range(1 << n) if v.bit_count() in weights]
         columns = draw(st.lists(st.sampled_from(cols), min_size=m, max_size=m))
-        rows = [
-            sum((c >> (n - i) & 1) << (m - b) for b, c in enumerate(columns, start=1))
-            for i in range(1, n + 1)
-        ]
+        rows = naive.rows_of_columns(n, columns)
     else:
         semis = [v for v in range(1 << m) if abs(2 * v.bit_count() - m) <= 1]
         free = st.integers(0, (1 << m) - 1)
