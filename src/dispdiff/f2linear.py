@@ -8,6 +8,7 @@ GF(2) decides injectivity.  The module also owns the two on-disk formats
 
 from __future__ import annotations
 
+import codecs
 import importlib.util
 import io
 import sys
@@ -305,7 +306,7 @@ def _parse_truth_table(fh: BinaryIO, n: int, m: int, entries: int) -> TruthTable
 
 
 # entries per block of every loop over a table: the lines the codec
-# writes and reads, g_table, extend_output and the bit planes of _scan.
+# surveys, writes and reads, g_table, extend_output and _scan's planes.
 # One block and its temporaries stay in cache (at n = 16 and 18 on 2
 # vCPUs, 2^13 parsed as fast as 2^12 and faster than 2^14, and its parse
 # of g16 peaked at 1.2 MB over 1.9 MB at 2^14). Other modules read it as
@@ -375,7 +376,7 @@ def parse_map_file(fh: BinaryIO) -> LinearMap | TruthTableMap:
     if not plain:
         data = fh.read()
         if not data.isascii():
-            data.decode()  # or fail with the codec's message
+            _check_utf8(data)
         fh = io.BytesIO(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
         lines, ends_newline, _ = _survey(fh)
     if not ends_newline:
@@ -405,17 +406,14 @@ def _readline(fh: BinaryIO, number: int) -> bytes:
     return line
 
 
-# pass 1 reads a map file in blocks of this many bytes
-_READ_BYTES = 1 << 20
-
-
 def _survey(fh: BinaryIO) -> tuple[int, bool, bool]:
-    """Pass 1 over a map file from its start, one reused block at a time:
-    its newline count, whether it ends with a newline, and whether it is
-    plain (pure ASCII, with no \\r). fh is left at its start."""
+    """Pass 1 over a map file from its start, one reused block of
+    _BLOCK_ROWS longest lines at a time: its newline count, whether it ends
+    with a newline, and whether it is plain (pure ASCII, with no \\r). fh
+    is left at its start."""
     fh.seek(0)
     lines, last, plain = 0, b"", True
-    block = bytearray(_READ_BYTES)
+    block = bytearray(_BLOCK_ROWS * _LINE_BYTES)
     while got := fh.readinto(block):
         if got < len(block):
             del block[got:]
@@ -424,6 +422,22 @@ def _survey(fh: BinaryIO) -> tuple[int, bool, bool]:
         last = block[-1:]
     fh.seek(0)
     return lines, last == b"\n", plain
+
+
+def _check_utf8(data: bytes) -> None:
+    """Fail with data.decode()'s message unless data is UTF-8, decoded a
+    block of _BLOCK_ROWS longest lines at a time, so no str the size of
+    the file is built. A decoder error counts from the bytes it held over
+    from the last block, so its positions are shifted back to data's."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    view, step = memoryview(data), _BLOCK_ROWS * _LINE_BYTES
+    for lo in range(0, len(data), step):
+        held = len(decoder.getstate()[0])
+        try:
+            decoder.decode(view[lo : lo + step], final=lo + step >= len(data))
+        except UnicodeDecodeError as e:
+            start, end = e.start + lo - held, e.end + lo - held
+            raise UnicodeDecodeError("utf-8", data, start, end, e.reason) from None
 
 
 def _parse_header(header: bytes) -> tuple[int, int]:

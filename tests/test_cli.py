@@ -6,6 +6,7 @@ import resource
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -408,6 +409,83 @@ class TestContract:
         lines = stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert out.read_bytes() == b"known bytes\n"
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "under-a-file"])
+    def test_unusable_out_fails_before_the_build(self, tmp_path, capsys, where):
+        # g22's table is 32 MiB: the open that would fail after it comes first
+        (tmp_path / "file").write_bytes(b"")
+        out = {
+            "missing-dir": tmp_path / "missing" / "g.tt",
+            "directory": tmp_path,
+            "under-a-file": tmp_path / "file" / "g.tt",
+        }[where]
+        with pytest.raises(OSError) as exc:
+            open(out, "wb")  # the write's own open, and its message
+        argv = ["construct", "diffusive", "--n", "22", "--out", str(out)]
+        with peak_below():
+            assert run(capsys, *argv) == (1, "", f"error: {exc.value}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diffusive", "--n", "29"],
+            ["diffusive", "--n", "3", "--m", "4"],
+            ["dispersive", "--n", "4", "--m", "4"],
+            ["dispersive", "--n", "2", "--m", "4000000000"],
+            ["column-diffusive", "--n", "4"],
+            ["column-diffusive", "--n", "4000000002"],
+        ],
+    )
+    @pytest.mark.parametrize("kept", [True, False], ids=["existing", "absent"])
+    def test_refused_argument_leaves_out_as_it_was(self, tmp_path, capsys, argv, kept):
+        # --out is checked by an open for append, which truncates nothing,
+        # and a file that open made is removed before the build is refused
+        out = tmp_path / "keep.tt"
+        if kept:
+            out.write_bytes(b"keep")
+            before = os.stat(out)
+        code, stdout, stderr = run(capsys, "construct", *argv, "--out", str(out))
+        assert code == 1 and stdout == "" and stderr.startswith("error: ")
+        assert out.exists() == kept
+        if kept:
+            assert out.read_bytes() == b"keep"
+            assert os.stat(out).st_mtime_ns == before.st_mtime_ns
+
+    def test_dangling_link_out_is_kept(self, tmp_path, capsys):
+        # the check's file is made at the link's target, and removed there
+        link, target = tmp_path / "link.tt", tmp_path / "target.tt"
+        link.symlink_to(target.name)
+        argv = ["construct", "diffusive", "--n", "29", "--out", str(link)]
+        assert run(capsys, *argv)[0] == 1
+        assert link.is_symlink() and not target.exists()
+        argv = ["construct", "diffusive", "--n", "3", "--out", str(link)]
+        assert run(capsys, *argv) == (0, "m=3\n", "")
+        assert link.is_symlink() and target.read_bytes() == table_bytes(g_table(3))
+
+    def test_device_out_is_written(self, capsys):
+        argv = ["construct", "diffusive", "--n", "4", "--out", os.devnull]
+        assert run(capsys, *argv) == (0, "m=4\n", "")
+
+    def test_fifo_out_is_opened_once(self, tmp_path):
+        # an open to check a FIFO would meet the reader and close, and the
+        # write's open would then wait for a reader that is gone
+        fifo = tmp_path / "g4.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        src = str(Path(dispdiff.__file__).resolve().parent.parent)
+        argv = ["construct", "diffusive", "--n", "4", "--out", str(fifo)]
+        done = subprocess.run(
+            [sys.executable, "-m", "dispdiff.cli", *argv],
+            capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        reader.join(timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"m=4\n", b"")
+        assert got == [table_bytes(g_table(4))]
 
     def test_file_roundtrip_byte_identical(self, tmp_path, capsys):
         path = tmp_path / "f7.gm"

@@ -285,10 +285,87 @@ def test_undecodable_byte_fails_with_the_codec_message():
     )
 
 
+def _survey_edges(data: bytes, rows: int) -> list[int]:
+    """The first byte of each survey block after the first, for a file of
+    data read `rows` longest lines a block, and the file's end."""
+    step = rows * f2linear._LINE_BYTES
+    return [*range(step, len(data), step), len(data)]
+
+
+class _Reads(io.BytesIO):
+    """io.BytesIO over data that records the size of each readinto buffer."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.sizes = []
+
+    def readinto(self, buffer) -> int:
+        self.sizes.append(len(buffer))
+        return super().readinto(buffer)
+
+
+TWO_BYTES = "\u0661".encode()  # ARABIC-INDIC DIGIT ONE
+
+# each at the last byte of a survey block, at the first of the next and
+# one byte past it; the final newline truncates the file there
+SURVEY_EDITS = {
+    "newline": lambda data, at: data[:at] + b"\n" + data[at + 1 :],
+    "crlf": lambda data, at: data[:at] + b"\r\n" + data[at + 2 :],
+    "lone-cr": lambda data, at: data[:at] + b"\r" + data[at + 1 :],
+    "two-byte": lambda data, at: data[:at] + TWO_BYTES + data[at + 2 :],
+    "final-newline": lambda data, at: data[:at] + b"\n",
+}
+
+
+@pytest.mark.parametrize("edit", SURVEY_EDITS)
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_survey_block_edges(rows, edit):
+    data = table_bytes(g_table(6))  # 900 bytes: 3 to 7 survey blocks
+    for edge in _survey_edges(data, rows)[:-1]:
+        for at in (edge - 1, edge, edge + 1):
+            bad = SURVEY_EDITS[edit](data, at)
+            expected = _outcome(parse_map_file, io.BytesIO(bad))
+            fh = _Reads(bad)
+            with small_blocks(rows):
+                survey = f2linear._survey(fh)
+                assert _outcome(parse_map_file, io.BytesIO(bad)) == expected
+            plain = bad.isascii() and b"\r" not in bad
+            assert survey == (bad.count(b"\n"), bad.endswith(b"\n"), plain)
+            assert fh.sizes[0] == rows * f2linear._LINE_BYTES
+
+
+# whole, truncated and invalid UTF-8 sequences, and their codec messages
+UTF8_SEQUENCES = [
+    TWO_BYTES, "\u20ac".encode(), "\U0001f600".encode(),
+    b"\xff", b"\x80", b"\xc3", b"\xc0\xaf", b"\xe0\x80", b"\xe2\x82",
+    b"\xed\xa0\x80", b"\xf0\x9f\x98", b"\xf4\x90\x80\x80",
+]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_utf8_check_in_blocks_fails_as_the_whole_file_would(rows):
+    # each sequence from three bytes before a block edge to one past it,
+    # in the file and as its last bytes: the message data.decode() raises
+    data = table_bytes(g_table(6))
+    for edge in _survey_edges(data, rows):
+        for seq in UTF8_SEQUENCES:
+            for at in range(edge - 3, edge + 2):
+                for bad in (data[:at] + seq + data[at + len(seq) :], data[:at] + seq):
+                    try:
+                        bad.decode()
+                    except UnicodeDecodeError as exc:
+                        expected = str(exc)
+                    else:
+                        expected = _outcome(parse_map_file, io.BytesIO(bad))
+                    with small_blocks(rows):
+                        assert _outcome(parse_map_file, io.BytesIO(bad)) == expected
+
+
 def test_hostile_header_costs_no_table():
     # 2^28 entries of 64 bits would be 2 GiB; two lines are counted first
     data = b"28 64\n" + b"0" * 28 + b" " + b"0" * 64 + b"\n"
-    with peak_below(f2linear._READ_BYTES + MB), pytest.raises(ValueError) as exc:
+    block = f2linear._BLOCK_ROWS * f2linear._LINE_BYTES
+    with peak_below(block + MB), pytest.raises(ValueError) as exc:
         parse_map_file(io.BytesIO(data + data[6:]))
     assert str(exc.value) == "expected 268435456 entries after header, got 2"
 
@@ -320,6 +397,27 @@ def test_non_ascii_file_is_decoded_once(tmp_path):
     assert str(exc.value) == "not a binary word: '10101010101010\u0661011'"
 
 
+@pytest.mark.parametrize(
+    "char, message",
+    [
+        (TWO_BYTES, "not a binary word: '010101010101\u0661100'"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 2228225: "
+         "invalid start byte"),
+    ],
+    ids=["utf-8", "not-utf-8"],
+)
+def test_non_ascii_file_is_held_about_twice(tmp_path, char, message):
+    # as a CRLF file is: the UTF-8 check holds one block's str at a time,
+    # never one the size of the file
+    data = table_bytes(g_table(16))
+    path = tmp_path / "g16.tt"
+    path.write_bytes(data[:-5] + char + data[-4:])
+    with open(path, "rb") as fh, peak_below(path.stat().st_size * 5 // 2):
+        with pytest.raises(ValueError) as exc:
+            parse_map_file(fh)
+    assert str(exc.value) == message
+
+
 LONG = 4 * MB  # a line this long would be held whole by an unbounded read
 
 
@@ -348,7 +446,8 @@ def test_long_line_is_refused_unread(tmp_path, capsys, data, message):
     # each line is read 130 bytes at most, so no line is held whole
     path = tmp_path / "long"
     path.write_bytes(data)
-    with open(path, "rb") as fh, peak_below(f2linear._READ_BYTES + MB):
+    block = f2linear._BLOCK_ROWS * f2linear._LINE_BYTES
+    with open(path, "rb") as fh, peak_below(block + MB):
         with pytest.raises(ValueError) as exc:
             parse_map_file(fh)
     assert str(exc.value) == message
@@ -389,7 +488,7 @@ class TestPeakMemory:
     FILE_BYTES = len(b"16 16\n") + ((2 * N + 2) << N)
     # the most bytes pass 1 reads at once; a block of n = 16 lines is
     # 8192 * 34 bytes, and their column arrays fit beside it
-    BLOCK = f2linear._READ_BYTES
+    BLOCK = f2linear._BLOCK_ROWS * f2linear._LINE_BYTES
 
     def test_serialize(self, tmp_path):
         table = g_table(self.N)
