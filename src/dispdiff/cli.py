@@ -6,11 +6,13 @@ exhausted its space without a witness. Identical arguments and input
 files produce byte-identical output, regardless of --threads and of the
 locale: a map file is read by the library's parse_map_file, as bytes
 when it is plain; otherwise it is checked as UTF-8, and each \r\n and
-lone \r in it is read as \n. A construct whose --out cannot be opened
-fails before the map is built, and one whose arguments are refused leaves
---out as it was. A construct failing at a write or last flush exits 1
-with one error line and no file at --out; a non-regular --out
-(/dev/full) is kept, and an out-of-memory kill can leave a partial file.
+lone \r in it is read as \n. construct opens --out once, for append,
+before the map is built: an --out that cannot be opened fails first, a
+refused argument leaves it as it was, and an absent one exists, empty,
+during the build. A construct failing at a write or last flush exits 1
+with one error line and no file at --out or its link's target; a FIFO
+or device --out (/dev/full) is kept, and a kill (out of memory, say)
+can leave an empty or partial file.
 """
 
 from __future__ import annotations
@@ -99,38 +101,29 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_construct(args: argparse.Namespace) -> int:
     if args.m is not None and args.kind != "dispersive":
         raise ValueError("--m only applies to dispersive constructions")
-    _check_out(args.out)
-    built = CONSTRUCT_KINDS[args.kind](args)
-    fh = open(args.out, "wb")
+    # the one open of --out comes first and is for append, so an unusable
+    # path fails before the build and a refused build truncates nothing
+    ours = not os.path.exists(args.out)
+    fh = open(args.out, "ab")
     try:
         with fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            built = CONSTRUCT_KINDS[args.kind](args)
+            if regular:
+                ours = True
+                fh.truncate(0)
             if isinstance(built, LinearMap):
                 fh.write(serialize_generator_matrix(built))
             else:
                 serialize_truth_table(built, fh)
     except BaseException:
-        # a write or close that fails leaves no partial file behind
-        if os.path.isfile(args.out):
-            os.remove(args.out)
+        # a file this call made or truncated goes, at a link's target; a
+        # FIFO or a device is kept
+        if ours:
+            os.remove(os.path.realpath(args.out))
         raise
     print(f"m={built.output_dim}")
     return 0
-
-
-def _check_out(path: str) -> None:
-    """Fail now, as the write's open would after the build, if path cannot
-    be opened for writing. An absent path, a regular file or a directory is
-    opened for append, which truncates nothing, and a file this open made
-    is removed at once. A FIFO or a device is opened once, by the write."""
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
-        return
-    open(path, "ab").close()
-    if mode is None:
-        os.remove(os.path.realpath(path))  # the file, also at a dangling link
 
 
 def _read_map_file(path: str) -> LinearMap | TruthTableMap:

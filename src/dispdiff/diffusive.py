@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import _scan, f2linear
+from . import f2linear
 from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, Record
 from .bitword import diff_patterns, krawtchouk_sum, pair_count, pair_space
 from .f2linear import LinearMap, TruthTableMap, np, table_size, transpose
@@ -106,6 +106,8 @@ def verify_diffusive(
         weights = [c.bit_count() for c in map_._columns()]
         sums = [target - (krawtchouk_sum(w, n, k) << (n - 2)) for w in weights]
     else:
+        from . import _scan  # loaded only when a table is scanned
+
         values = _scan.table_values(map_)
         sums = _scan.bit_sums(values, m, list(diff_patterns(n, k)), threads=threads)
     injective = map_.is_injective()
@@ -182,6 +184,8 @@ def decompose_sums(n: int, i: int) -> DecomposedSums:
         raise ValueError(f"n must be >= 3, got {n}")
     if not 1 <= i <= n:
         raise ValueError(f"output index {i} out of range 1..{n}")
+    from . import _scan
+
     values = g_table(n).values
     half = 1 << (n - 1)
     patterns = list(diff_patterns(n - 1, 1))

@@ -11,7 +11,6 @@ or from the rank and pattern images of a generator matrix.
 
 from __future__ import annotations
 
-from . import _scan
 from .bitword import DEFAULT_PAIR_BUDGET, MAX_WIDTH, BitWord, Record, pair_count
 from .bitword import _check_pairs, _check_width, diff_patterns, pair_space
 from .f2linear import LinearMap, TruthTableMap, np
@@ -101,6 +100,8 @@ def verify_dispersive(
         weights = ((d, map_._image(d).bit_count()) for d in diff_patterns(n, k))
         viol = next(((0, d, w) for d, w in weights if 2 * w != m), None)
     else:
+        from . import _scan  # loaded only when a table is scanned
+
         npairs = pair_space(n, k, budget)
         values = _scan.table_values(map_)
         viol = _scan.first_distance_violation(

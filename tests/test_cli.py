@@ -1,3 +1,4 @@
+import builtins
 import errno
 import inspect
 import io
@@ -28,6 +29,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def construct_child(argv, **kw):
+    """`dispdiff construct *argv` in a child interpreter."""
+    src = str(Path(dispdiff.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "dispdiff.cli", "construct", *argv],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60, **kw,
+    )
+
+
+def limit_file_size():
+    """Make a write past 1 KiB fail with EFBIG rather than kill the child."""
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 
 
 class TestConstruct:
@@ -169,7 +185,7 @@ class TestVerify:
 
     def test_threads_do_not_change_output(self, g3_file, capsys, monkeypatch):
         # below the floor g3's 12 pairs would run on one worker at any --threads
-        monkeypatch.setattr(dispdiff._scan, "MIN_PAIRS_PER_WORKER", 1)
+        monkeypatch.setattr("dispdiff._scan.MIN_PAIRS_PER_WORKER", 1)
         outputs = set()
         for threads in ("1", "4", "8"):
             code, stdout, _ = run(
@@ -486,6 +502,60 @@ class TestContract:
         reader.join(timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (0, b"m=4\n", b"")
         assert got == [table_bytes(g_table(4))]
+
+    def test_failed_write_through_a_link_removes_its_target(self, tmp_path):
+        # the partial file is the link's target: it goes, and the link stays
+        link, target = tmp_path / "link.tt", tmp_path / "target.tt"
+        target.write_bytes(b"old table\n")
+        link.symlink_to(target.name)
+        done = construct_child(
+            ["diffusive", "--n", "8", "--out", str(link)], preexec_fn=limit_file_size
+        )
+        stderr = f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+        assert (done.returncode, done.stdout, done.stderr.decode()) == (1, b"", stderr)
+        assert link.is_symlink() and not link.exists() and not target.exists()
+
+    def test_refused_build_closes_a_fifo_out(self, tmp_path):
+        # --out is opened before the build, so the reader meets the writer
+        # and reads end of file when the build is refused
+        fifo = tmp_path / "g29.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        try:
+            done = construct_child(["diffusive", "--n", "29", "--out", str(fifo)])
+            reader.join(timeout=10)
+            read = list(got)
+        finally:
+            if reader.is_alive():  # still waiting for a writer: let it go
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        stderr = b"error: a table on n=29 inputs exceeds the cap of 2^28 entries\n"
+        assert (done.returncode, done.stdout, done.stderr) == (1, b"", stderr)
+        assert read == [b""]
+
+    @pytest.mark.parametrize("where", ["absent", "existing", "devnull"])
+    @pytest.mark.parametrize("n, code", [(3, 0), (29, 1)], ids=["built", "refused"])
+    def test_out_is_opened_once(self, tmp_path, capsys, monkeypatch, where, n, code):
+        # one open checks --out before the build and takes the write after it
+        out = os.devnull if where == "devnull" else str(tmp_path / "out")
+        if where == "existing":
+            Path(out).write_bytes(b"longer than g3's table\n" * 9)
+        opened = []
+
+        def counted(path, *rest):
+            opened.append(path)
+            return builtins.open(path, *rest)
+
+        monkeypatch.setattr("dispdiff.cli.open", counted, raising=False)
+        argv = ["construct", "diffusive", "--n", str(n), "--out", out]
+        assert run(capsys, *argv)[0] == code
+        assert opened == [out]
+        if where == "existing" and code == 0:
+            # the append handle is truncated before the write
+            assert Path(out).read_bytes() == table_bytes(g_table(3))
 
     def test_file_roundtrip_byte_identical(self, tmp_path, capsys):
         path = tmp_path / "f7.gm"

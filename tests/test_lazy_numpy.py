@@ -120,7 +120,7 @@ def test_table_commands_load_numpy_on_first_use(
     # first=1 writes g6.tt beforehand, so the first load comes in the
     # threaded verify, which must make it before any worker starts; the
     # floor of one pair per worker splits g6's 192 pairs over the workers
-    monkeypatch.setattr(dispdiff._scan, "MIN_PAIRS_PER_WORKER", 1)
+    monkeypatch.setattr("dispdiff._scan.MIN_PAIRS_PER_WORKER", 1)
     data = table_bytes(g_table(6))
     setup = (lambda d: (d / "g6.tt").write_bytes(data)) if first else lambda d: None
     report = compare(
@@ -157,9 +157,10 @@ def test_import_without_numpy_names_it(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (0, "numpy\n", "")
 
 
-# stdlib modules no command uses: records are not data classes, and the
-# thread pool loads only when a table scan starts more than one worker
-UNUSED = ["dataclasses", "inspect", "concurrent.futures"]
+# modules no matrix or search command uses: records are not data classes,
+# the thread pool loads only when a table scan starts more than one
+# worker, and the table scan only when a table is scanned
+UNUSED = ["dataclasses", "inspect", "concurrent.futures", "dispdiff._scan"]
 LOADED = f"""
 import json, sys
 print(json.dumps([m for m in {UNUSED!r} if m in sys.modules]))
